@@ -2,6 +2,11 @@ package goodenough
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -32,11 +37,54 @@ func stripShardLayout(r FleetResult) FleetResult {
 	return r
 }
 
+// goldenFleetPath pins the sequential (K=1) output of the chaos scenario
+// under p2c and ideal dispatch. Each event and decision stream runs to
+// hundreds of megabytes, so the file stores their sha256 digests and sizes,
+// plus the full FleetResult. Regenerate deliberately with:
+// go test -run TestFleetShardMatrix -update .
+var goldenFleetPath = filepath.Join("testdata", "golden_fleet.txt")
+
+// fleetGoldenLines renders one sequential run as golden-file lines.
+func fleetGoldenLines(t *testing.T, dispatch string, events, decisions []byte, res FleetResult) string {
+	t.Helper()
+	raw, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%s events sha256 %x bytes %d\n%s decisions sha256 %x bytes %d\n%s result %s\n",
+		dispatch, sha256.Sum256(events), len(events),
+		dispatch, sha256.Sum256(decisions), len(decisions),
+		dispatch, raw)
+}
+
+// checkGoldenFleet compares the sequential runs against golden_fleet.txt,
+// or rewrites it under -update.
+func checkGoldenFleet(t *testing.T, got string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(goldenFleetPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Log("fleet golden rewritten")
+		return
+	}
+	want, err := os.ReadFile(goldenFleetPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to generate)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s: sequential fleet output diverged from golden; "+
+			"inspect, then -update if intended\ngot:\n%swant:\n%s", goldenFleetPath, got, want)
+	}
+}
+
 // TestFleetShardMatrix is the determinism matrix from the sharding work:
 // K ∈ {1, 2, 4, 7} shards over the golden 10-machine chaos scenario must
 // produce byte-identical event JSONL, byte-identical decision JSONL, and an
 // identical FleetResult (up to the layout-reporting fields). The shard
-// count is an execution knob, never a simulation knob.
+// count is an execution knob, never a simulation knob. The K=1 runs are
+// also pinned against golden_fleet.txt, so behaviour changes show up even
+// when every K changes alike.
 func TestFleetShardMatrix(t *testing.T) {
 	seqEvents, seqDecisions, seqRes := shardedChaosRun(t, 1, "p2c")
 	if len(seqEvents) == 0 || len(seqDecisions) == 0 {
@@ -72,7 +120,9 @@ func TestFleetShardMatrix(t *testing.T) {
 
 	// The ideal dispatcher reads the cached capacity view (degraded budgets
 	// included); prove its routing is also layout-independent.
-	idealSeq, _, idealSeqRes := shardedChaosRun(t, 1, "ideal")
+	idealSeq, idealSeqDecisions, idealSeqRes := shardedChaosRun(t, 1, "ideal")
+	checkGoldenFleet(t, fleetGoldenLines(t, "p2c", seqEvents, seqDecisions, seqRes)+
+		fleetGoldenLines(t, "ideal", idealSeq, idealSeqDecisions, idealSeqRes))
 	idealSharded, _, idealShardedRes := shardedChaosRun(t, 4, "ideal")
 	if !bytes.Equal(idealSeq, idealSharded) {
 		t.Error("ideal dispatch: event JSONL diverges between K=1 and K=4")
