@@ -294,3 +294,51 @@ func TestFleetPartitionStrandsNoJobs(t *testing.T) {
 		t.Fatalf("availability = %v, want 1 (partitioned machines still serve)", res.Availability)
 	}
 }
+
+// TestSingleMachineFleetMatchesRun: a fault-free one-machine fleet under
+// round-robin dispatch is the single-machine loop behind a pass-through
+// dispatcher, so it must reproduce Run exactly — every trigger, including
+// the idle-core wakeups of cores that drain before their last deadline.
+func TestSingleMachineFleetMatchesRun(t *testing.T) {
+	for _, scheduler := range []string{"ge", "fdfs"} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			for _, rate := range []float64{60, 154, 308} {
+				cfg := DefaultConfig()
+				cfg.Scheduler = scheduler
+				cfg.Seed = seed
+				cfg.ArrivalRate = rate
+				cfg.DurationSec = 10
+				want, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := RunFleet(FleetConfig{Config: cfg, Machines: 1, Dispatch: "rr"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fields := []struct {
+					name      string
+					got, want any
+				}{
+					{"Energy", got.Energy, want.Energy},
+					{"Quality", got.Quality, want.Quality},
+					{"Jobs", got.Jobs, want.Jobs},
+					{"Completed", got.Completed, want.Completed},
+					{"Expired", got.Expired, want.Expired},
+					{"AESFraction", got.AESFraction, want.AESFraction},
+					{"AESEnergy", got.AESEnergy, want.AESEnergy},
+					{"BQEnergy", got.BQEnergy, want.BQEnergy},
+					{"MeanResponse", got.MeanResponse, want.MeanResponse},
+					{"P95Response", got.P95Response, want.P95Response},
+					{"SimTime", got.SimTime, want.SimTime},
+				}
+				for _, f := range fields {
+					if f.got != f.want {
+						t.Errorf("%s seed %d at %v req/s: fleet %s = %v, Run = %v",
+							scheduler, seed, rate, f.name, f.got, f.want)
+					}
+				}
+			}
+		}
+	}
+}

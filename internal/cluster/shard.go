@@ -107,6 +107,11 @@ func (s *shard) handle(e *sim.Event) error {
 	case sim.KindCoreIdle: // projected core drain; Core = core, Ref = machine
 		n := f.nodes[e.Ref]
 		n.idleEvents[e.Core] = 0
+		// Catch up first: the core drains during the advance to now, so an
+		// Idle check against the stale clock would drop the trigger.
+		if err := f.catchUp(n, now); err != nil {
+			return err
+		}
 		if n.up && n.server.Cores[e.Core].Idle() && n.server.Cores[e.Core].Healthy() {
 			if err := f.invoke(n, now, sched.TriggerIdleCore); err != nil {
 				return err
