@@ -163,8 +163,16 @@ func TestBrownoutShedsWithDrainHint(t *testing.T) {
 		t.Fatalf("readyz body = %q, want shedding", firstLine(rbody))
 	}
 
-	// The occupied worker was cut (its context cancelled by the governor);
+	// The occupied worker is cut (its context cancelled by the governor);
 	// when it finally returns, the reply is a 200 partial with quality < 1.
+	// The governor's one-quantum grace can delay the cut past the tick that
+	// entered shedding, so wait for it before releasing the worker.
+	for g.Cuts() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("governor never cut the occupied run; state=%v", g.State())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(release)
 	rep := <-occupied
 	if rep.code != http.StatusOK {
