@@ -27,7 +27,6 @@ import (
 
 	"goodenough/internal/faults"
 	"goodenough/internal/job"
-	"goodenough/internal/machine"
 	"goodenough/internal/obs"
 	"goodenough/internal/quality"
 	"goodenough/internal/sched"
@@ -207,44 +206,23 @@ type Result struct {
 	PerMachine []MachineResult
 }
 
-// finRec is one buffered finalization: the global accounting side effects of
-// a job leaving a machine, replayed at the next barrier in machine-index
-// order so float accumulation order never depends on the shard layout. The
-// job pointer rides along for recycling into the arrival pool.
-type finRec struct {
-	j         *job.Job
-	processed float64
-	demand    float64
-	response  float64
-	completed bool
-}
-
-// node is one simulated machine inside the fleet: a server plus the per-node
-// slice of the runner state (waiting queue, quality monitor, mode and energy
-// accounting, idle events) and the epoch buffers its shard writes into.
+// node is one simulated machine inside the fleet: the per-machine driver on
+// its shard's engine, plus the machine's health, its dispatch counters, and
+// the epoch buffers its shard writes into.
 type node struct {
-	idx    int
-	base   int // global core-ID base: idx * cores
-	shard  *shard
-	server *machine.Server
-	wait   job.FIFO
-	policy sched.Policy
-	acc    *quality.Accumulator
+	d     *sched.Driver
+	idx   int
+	base  int // global core-ID base: idx * cores
+	shard *shard
 
 	// Health. up==false means crashed; partitioned machines keep serving
-	// but are unreachable from the dispatcher; slowFactor in (0,1) caps the
-	// budget while degraded (0 = nominal).
+	// but are unreachable from the dispatcher.
 	up          bool
 	partitioned bool
-	slowFactor  float64
 	downSince   float64
 	downTime    float64
 	crashes     int64
 
-	arrivalTimes []float64
-	idleEvents   []sim.EventID
-	idleAt       []float64 // armed wakeup time per core (valid while idleEvents[i] != 0)
-	queueExpired int64
 	dispatches   int64
 	redispatches int64
 
@@ -254,122 +232,38 @@ type node struct {
 	inflightQW   float64
 	inflightJobs int
 
-	// Epoch buffers, drained by Fleet.flush in machine-index order.
+	// Epoch buffers, drained by Fleet.flush in machine-index order together
+	// with the driver's finalization records.
 	evbuf    []obs.Event
 	decbuf   []obs.Decision
-	finbuf   []finRec
 	idleNote bool
 	dirty    bool
-
-	// Mode accounting (mirrors sched.Runner).
-	modeAES      bool
-	modeSet      bool
-	modeSince    float64
-	aesTime      float64
-	modeSwitches int64
-	lastEnergy   float64
-	aesEnergy    float64
-	bqEnergy     float64
-
-	pctx       sched.Context
-	finalizeFn machine.FinalizeFunc
-	obsWrap    obs.Observer
-
-	fleet *Fleet
 }
 
-// RecordMode implements sched.ModeSink for this machine.
-func (n *node) RecordMode(now float64, aes bool) {
-	if n.modeSet {
-		if n.modeAES {
-			n.aesTime += now - n.modeSince
-		}
-		if aes != n.modeAES {
-			n.modeSwitches++
-			obs.Emit(n.obsWrap, obs.Event{Time: now, Type: obs.EventModeSwitch,
-				Core: -1, Job: -1, Flag: aes})
-			if n.fleet.decisions != nil {
-				action := "bq"
-				if aes {
-					action = "aes"
-				}
-				n.decbuf = append(n.decbuf, obs.Decision{Time: now, Kind: obs.DecisionModeSwitch,
-					Machine: n.idx, Job: -1, Score: n.acc.Quality(),
-					Budget: n.server.Budget(), Action: action})
-			}
-		}
-	} else {
-		obs.Emit(n.obsWrap, obs.Event{Time: now, Type: obs.EventModeSwitch,
-			Core: -1, Job: -1, Flag: aes})
+// catchUp settles a machine to the present before anything lands on it — a
+// policy invocation, a pushed job, a fault transition — so no work ever
+// executes against a stale clock. Per-machine touch times are non-decreasing
+// (shard heaps deliver in time order, and barriers only move clocks
+// forward), so a node already at the present was settled at this instant.
+func (n *node) catchUp(now float64) error {
+	moved, err := n.d.Settle(now)
+	if moved {
+		n.dirty = true
 	}
-	n.modeAES = aes
-	n.modeSet = true
-	n.modeSince = now
+	if err != nil {
+		return fmt.Errorf("cluster: machine %d: %w", n.idx, err)
+	}
+	return nil
 }
 
-// finalize records a job leaving this machine into the node's quality
-// monitor (the policy's compensation signal) immediately, and buffers the
-// fleet-global side — accumulator, response sample, recycling — for the
-// next barrier flush.
-func (n *node) finalize(j *job.Job, r machine.Reason) {
-	n.acc.Add(j.Processed, j.Demand)
-	completed := r == machine.ReasonCompleted
-	n.finbuf = append(n.finbuf, finRec{j: j, processed: j.Processed,
-		demand: j.Demand, response: j.Finish - j.Release, completed: completed})
-	if completed {
-		obs.Emit(n.obsWrap, obs.Event{Time: j.Finish, Type: obs.EventJobComplete,
-			Core: j.Core, Job: j.ID, Value: j.Processed, Aux: j.Finish - j.Release})
-	} else {
-		obs.Emit(n.obsWrap, obs.Event{Time: j.Finish, Type: obs.EventJobExpire,
-			Core: j.Core, Job: j.ID, Value: j.Processed, Aux: j.Demand})
+// invoke runs the machine's policy at now. Safe from a shard worker
+// (everything it touches is node-local).
+func (n *node) invoke(now float64, trig sched.Trigger) error {
+	if err := n.catchUp(now); err != nil {
+		return err
 	}
-}
-
-// expireLocal finalizes a job that dies on this machine without being served
-// (queue expiry, or crash wreckage not worth re-running), buffering the
-// global accounting like finalize does.
-func (n *node) expireLocal(j *job.Job, finish, at float64, core int) {
-	j.State = job.StateFinalized
-	j.Finish = finish
-	n.queueExpired++
-	n.acc.Add(j.Processed, j.Demand)
-	n.finbuf = append(n.finbuf, finRec{j: j, processed: j.Processed, demand: j.Demand})
-	obs.Emit(n.obsWrap, obs.Event{Time: at, Type: obs.EventJobExpire,
-		Core: core, Job: j.ID, Value: j.Processed, Aux: j.Demand})
-}
-
-func (n *node) noteArrival(now float64, window float64) {
-	n.arrivalTimes = append(n.arrivalTimes, now)
-	cutoff := now - window
-	i := 0
-	for i < len(n.arrivalTimes) && n.arrivalTimes[i] < cutoff {
-		i++
-	}
-	if i > 0 {
-		n.arrivalTimes = append(n.arrivalTimes[:0], n.arrivalTimes[i:]...)
-	}
-}
-
-func (n *node) estimateRate(now, window float64) float64 {
-	cutoff := now - window
-	i := 0
-	for i < len(n.arrivalTimes) && n.arrivalTimes[i] < cutoff {
-		i++
-	}
-	if i > 0 {
-		n.arrivalTimes = append(n.arrivalTimes[:0], n.arrivalTimes[i:]...)
-	}
-	w := math.Min(window, math.Max(now, 1e-3))
-	return float64(len(n.arrivalTimes)) / w
-}
-
-func (n *node) anyIdleCore() bool {
-	for _, c := range n.server.Cores {
-		if c.Idle() && c.Healthy() {
-			return true
-		}
-	}
-	return false
+	n.dirty = true
+	return n.d.Invoke(now, trig)
 }
 
 // nodeObserver buffers one machine's event emissions into its epoch buffer,
@@ -388,6 +282,13 @@ func (o nodeObserver) Observe(e obs.Event) {
 	o.n.evbuf = append(o.n.evbuf, e)
 }
 
+// nodeDecisions buffers one machine's decision records like nodeObserver
+// buffers its events.
+type nodeDecisions struct{ n *node }
+
+// ObserveDecision implements obs.DecisionSink.
+func (s nodeDecisions) ObserveDecision(d obs.Decision) { s.n.decbuf = append(s.n.decbuf, d) }
+
 // jobRecycler is implemented by workload sources that can reinitialize a
 // finalized job in place (workload.Generator.NextInto), keeping the
 // steady-state arrival path allocation-free.
@@ -402,6 +303,7 @@ type Fleet struct {
 	global    *sim.Engine // arrivals, quanta, machine faults, parked deadlines
 	shards    []*shard
 	nodes     []*node
+	view      View
 	gen       workload.Source
 	recycler  jobRecycler
 	jobPool   []*job.Job
@@ -414,23 +316,6 @@ type Fleet struct {
 	faultEvents []faults.MachineEvent
 	nextArrival *job.Job
 	genDone     bool
-
-	// Cached dispatcher view, one slot per machine: refreshed for touched
-	// machines at every barrier flush, adjusted additively when a job is
-	// routed. Reads cost O(1) and never advance a machine, which is what
-	// makes the full-fleet scans in least-loaded and ideal affordable at
-	// large N.
-	viewQW   []float64
-	viewIdle []int
-	viewCap  []float64
-
-	// Eligibility index: the eligible machines in swap-remove order,
-	// maintained on fault transitions so sampling dispatchers draw in O(1).
-	eligList []int
-	eligPos  []int
-	// drain orders eligible machines by queued-work/capacity for the ideal
-	// dispatcher; nil under every other policy.
-	drain *drainHeap
 
 	// Crash-path scratch, reused across faults.
 	displaced []*job.Job
@@ -454,14 +339,15 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	f := &Fleet{
-		cfg:     cfg,
-		nodeCfg: cfg.Node,
-		gen:     workload.NewGenerator(cfg.Workload),
-		acc:     quality.NewAccumulator(cfg.Node.Quality),
-		obs:     cfg.Observer,
-		limit:   cfg.RedispatchLimit,
+		cfg:       cfg,
+		nodeCfg:   cfg.Node,
+		view:      newView(cfg.Machines),
+		gen:       workload.NewGenerator(cfg.Workload),
+		acc:       quality.NewAccumulator(cfg.Node.Quality),
+		obs:       cfg.Observer,
+		decisions: cfg.Decisions,
+		limit:     cfg.RedispatchLimit,
 	}
-	f.decisions = cfg.Decisions
 	if r, ok := f.gen.(jobRecycler); ok {
 		f.recycler = r
 	}
@@ -469,39 +355,6 @@ func New(cfg Config) (*Fleet, error) {
 		f.limit = DefaultRedispatchLimit
 	}
 	f.nodes = make([]*node, cfg.Machines)
-	for m := range f.nodes {
-		var server *machine.Server
-		var err error
-		if cfg.Node.Heterogeneous() {
-			server, err = machine.NewHeterogeneousServer(cfg.Node.PerCoreModels)
-		} else {
-			server, err = machine.NewServer(cfg.Node.Cores, cfg.Node.Model)
-		}
-		if err != nil {
-			return nil, err
-		}
-		server.SetBudget(cfg.Node.PowerBudget)
-		n := &node{
-			idx:        m,
-			base:       m * cfg.Node.Cores,
-			server:     server,
-			policy:     cfg.NewPolicy(),
-			acc:        quality.NewAccumulator(cfg.Node.Quality),
-			up:         true,
-			idleEvents: make([]sim.EventID, cfg.Node.Cores),
-			idleAt:     make([]float64, cfg.Node.Cores),
-			fleet:      f,
-		}
-		if n.policy == nil {
-			return nil, fmt.Errorf("cluster: NewPolicy returned nil for machine %d", m)
-		}
-		n.finalizeFn = n.finalize
-		if f.obs != nil {
-			n.obsWrap = nodeObserver{n: n}
-			server.SetObserver(n.obsWrap)
-		}
-		f.nodes[m] = n
-	}
 	k := resolveShards(cfg.Shards, cfg.Machines)
 	f.shards = make([]*shard, k)
 	lo, size, rem := 0, cfg.Machines/k, cfg.Machines%k
@@ -512,126 +365,45 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		s := &shard{idx: i, fleet: f, nodes: f.nodes[lo:hi]}
 		s.engine = sim.NewEngine(s.handle)
-		for _, n := range s.nodes {
-			n.shard = s
-		}
 		f.shards[i] = s
+		for m := lo; m < hi; m++ {
+			policy := cfg.NewPolicy()
+			if policy == nil {
+				return nil, fmt.Errorf("cluster: NewPolicy returned nil for machine %d", m)
+			}
+			d, err := sched.NewDriver(&f.nodeCfg, policy, m, s.engine)
+			if err != nil {
+				return nil, err
+			}
+			n := &node{d: d, idx: m, base: m * cfg.Node.Cores, shard: s, up: true}
+			if f.obs != nil {
+				d.SetObserver(nodeObserver{n: n})
+			}
+			if f.decisions != nil {
+				d.SetDecisionSink(nodeDecisions{n: n})
+			}
+			f.nodes[m] = n
+		}
 		lo = hi
-	}
-	f.viewQW = make([]float64, cfg.Machines)
-	f.viewIdle = make([]int, cfg.Machines)
-	f.viewCap = make([]float64, cfg.Machines)
-	f.eligList = make([]int, 0, cfg.Machines)
-	f.eligPos = make([]int, cfg.Machines)
-	for m := range f.eligPos {
-		f.eligPos[m] = -1
-	}
-	if _, ok := cfg.Dispatch.(*ideal); ok {
-		f.drain = newDrainHeap(cfg.Machines)
 	}
 	f.global = sim.NewEngine(f.handle)
 	return f, nil
 }
 
-// --- View implementation (the dispatcher's window) ---
-//
-// All load signals read the barrier-refreshed cache (plus in-flight
-// adjustments applied at routing time); only eligibility is live, because
-// fault transitions — the events that change it — are themselves barriers.
-
-// Machines implements View.
-func (f *Fleet) Machines() int { return len(f.nodes) }
-
-// Eligible implements View: up and reachable.
-func (f *Fleet) Eligible(m int) bool {
-	n := f.nodes[m]
-	return n.up && !n.partitioned
-}
-
-// QueuedWork implements View: remaining work waiting plus planned, as of the
-// machine's last barrier refresh plus everything routed to it since.
-func (f *Fleet) QueuedWork(m int) float64 { return f.viewQW[m] }
-
-// HasIdleCore implements View.
-func (f *Fleet) HasIdleCore(m int) bool { return f.viewIdle[m] > 0 }
-
-// Capacity implements View: the machine's sustainable processing rate under
-// its current (possibly degraded) budget.
-func (f *Fleet) Capacity(m int) float64 { return f.viewCap[m] }
-
 // refreshView recomputes one machine's cached view slots from live state.
 // Called at barrier flushes for touched machines and inline on fault
 // recovery (so pending-queue drains route on fresh state).
 func (f *Fleet) refreshView(n *node) {
-	sum := n.server.TotalLoad()
-	for _, j := range n.wait.Peek() {
+	server := n.d.Server()
+	sum := server.TotalLoad()
+	for _, j := range n.d.Waiting().Peek() {
 		sum += j.Remaining()
 	}
-	f.viewQW[n.idx] = sum + n.inflightQW
-	idle := 0
-	for _, c := range n.server.Cores {
-		if c.Idle() && c.Healthy() {
-			idle++
-		}
-	}
-	if idle -= n.inflightJobs; idle < 0 {
+	idle := n.d.IdleCores() - n.inflightJobs
+	if idle < 0 {
 		idle = 0
 	}
-	f.viewIdle[n.idx] = idle
-	f.viewCap[n.idx] = capacityAt(n.server)
-	f.updateDrain(n.idx)
-}
-
-// EligibleCount implements eligibleIndex.
-func (f *Fleet) EligibleCount() int { return len(f.eligList) }
-
-// EligibleAt implements eligibleIndex.
-func (f *Fleet) EligibleAt(rank int) int { return f.eligList[rank] }
-
-// BestDrain implements drainIndex for the ideal dispatcher.
-func (f *Fleet) BestDrain() (int, float64, bool) {
-	if f.drain == nil || len(f.drain.heap) == 0 {
-		return -1, 0, false
-	}
-	m := f.drain.heap[0]
-	return m, f.drain.score[m], true
-}
-
-// setEligible maintains the eligibility index across a machine's fault
-// transitions (swap-remove keeps both directions O(1)).
-func (f *Fleet) setEligible(m int, ok bool) {
-	at := f.eligPos[m]
-	if ok {
-		if at < 0 {
-			f.eligPos[m] = len(f.eligList)
-			f.eligList = append(f.eligList, m)
-		}
-	} else if at >= 0 {
-		last := len(f.eligList) - 1
-		moved := f.eligList[last]
-		f.eligList[at] = moved
-		f.eligPos[moved] = at
-		f.eligList = f.eligList[:last]
-		f.eligPos[m] = -1
-	}
-	f.updateDrain(m)
-}
-
-// updateDrain re-keys one machine in the ideal dispatcher's drain heap.
-func (f *Fleet) updateDrain(m int) {
-	if f.drain == nil {
-		return
-	}
-	n := f.nodes[m]
-	if !n.up || n.partitioned {
-		f.drain.remove(m)
-		return
-	}
-	s := inf
-	if c := f.viewCap[m]; c > 0 {
-		s = f.viewQW[m] / c
-	}
-	f.drain.update(m, s)
+	f.view.set(n.idx, sum+n.inflightQW, idle, server.Capacity())
 }
 
 // --- event loop (global phase; the shard phase lives in shard.go) ---
@@ -640,7 +412,7 @@ func (f *Fleet) updateDrain(m int) {
 func (f *Fleet) Run() (Result, error) {
 	f.cfg.Dispatch.Reset()
 	for _, n := range f.nodes {
-		n.policy.Reset()
+		n.d.Policy().Reset()
 	}
 	if in, ok := f.cfg.Dispatch.(idleNotifier); ok {
 		f.idleSink = in
@@ -650,7 +422,7 @@ func (f *Fleet) Run() (Result, error) {
 	}
 	for m, n := range f.nodes {
 		f.refreshView(n)
-		f.setEligible(m, true)
+		f.view.setEligible(m, true)
 	}
 	if err := f.scheduleNextArrival(); err != nil {
 		return Result{}, err
@@ -727,49 +499,6 @@ func (f *Fleet) handle(e *sim.Event) error {
 	return nil
 }
 
-// syncNode advances one machine to the present and settles its accounting.
-func (f *Fleet) syncNode(n *node, now float64) error {
-	if err := n.server.Advance(now, n.finalizeFn); err != nil {
-		return fmt.Errorf("cluster: machine %d: %w", n.idx, err)
-	}
-	if delta := n.server.Energy() - n.lastEnergy; delta > 0 {
-		if n.modeAES {
-			n.aesEnergy += delta
-		} else {
-			n.bqEnergy += delta
-		}
-		n.lastEnergy = n.server.Energy()
-	}
-	f.expireWaiting(n, now)
-	n.dirty = true
-	return nil
-}
-
-// catchUp advances a machine to the present before anything lands on it —
-// a policy invocation, a pushed job, a fault transition — so no work ever
-// executes against a stale clock. Per-machine touch times are
-// non-decreasing (shard heaps deliver in time order, and barriers only move
-// clocks forward), so a node already at the present was settled at this
-// instant, queue expiry included.
-func (f *Fleet) catchUp(n *node, now float64) error {
-	if n.server.Now() >= now {
-		return nil
-	}
-	return f.syncNode(n, now)
-}
-
-// expireWaiting finalizes a node's queued jobs whose deadlines passed
-// unserved.
-func (f *Fleet) expireWaiting(n *node, now float64) {
-	for {
-		j := n.wait.PopExpired(now)
-		if j == nil {
-			return
-		}
-		n.expireLocal(j, j.Deadline, now, -1)
-	}
-}
-
 // expirePending finalizes jobs that died parked at the dispatcher — the
 // whole fleet was unreachable for their entire remaining window. Runs in the
 // global phase, so it settles accounting directly rather than buffering.
@@ -790,72 +519,11 @@ func (f *Fleet) expirePending(now float64) {
 	}
 }
 
-// invoke runs one machine's scheduling policy and re-arms its idle events.
-// Safe from a shard worker (everything it touches is node-local).
-func (f *Fleet) invoke(n *node, now float64, trig sched.Trigger) error {
-	if err := f.catchUp(n, now); err != nil {
-		return err
-	}
-	obs.Emit(n.obsWrap, obs.Event{Time: now, Type: obs.EventBatch, Core: -1, Job: -1,
-		Value: float64(n.wait.Len()), Aux: float64(trig)})
-	n.pctx = sched.Context{
-		Now:         now,
-		Trigger:     trig,
-		Cfg:         &f.nodeCfg,
-		Budget:      n.server.Budget(),
-		Server:      n.server,
-		Waiting:     &n.wait,
-		Monitor:     n.acc,
-		ArrivalRate: n.estimateRate(now, f.nodeCfg.RateWindow),
-		Finalize:    n.finalizeFn,
-		Observer:    n.obsWrap,
-		Modes:       n,
-	}
-	n.policy.Schedule(&n.pctx)
-	f.refreshIdleEvents(n, now)
-	n.dirty = true
-	return nil
-}
-
-// refreshIdleEvents re-arms a KindCoreIdle event per busy core at its
-// projected drain time on the machine's shard heap, tagged with the machine
-// index in Ref. A core whose projected time is unchanged keeps its armed
-// event — re-planning one core must not churn the heap for the other seven.
-func (f *Fleet) refreshIdleEvents(n *node, now float64) {
-	eng := n.shard.engine
-	for i, c := range n.server.Cores {
-		if c.Idle() || !c.Healthy() {
-			if id := n.idleEvents[i]; id != 0 {
-				eng.Cancel(id)
-				n.idleEvents[i] = 0
-			}
-			continue
-		}
-		at := c.ProjectedIdle(now)
-		if at < now {
-			at = now
-		}
-		at += 1e-9
-		if id := n.idleEvents[i]; id != 0 {
-			if n.idleAt[i] == at {
-				continue
-			}
-			eng.Cancel(id)
-			n.idleEvents[i] = 0
-		}
-		id, err := eng.ScheduleCoreRef(at, sim.KindCoreIdle, i, n.idx)
-		if err == nil {
-			n.idleEvents[i] = id
-			n.idleAt[i] = at
-		}
-	}
-}
-
 // noteIdleNow tells heap-keeping dispatchers this machine has spare
 // capacity, immediately. Global phase only (fault recovery); shard workers
 // set node.idleNote instead, applied at the barrier flush.
 func (f *Fleet) noteIdleNow(n *node) {
-	if f.idleSink == nil || !n.up || n.partitioned || !n.anyIdleCore() {
+	if f.idleSink == nil || !n.up || n.partitioned || n.d.IdleCores() == 0 {
 		return
 	}
 	f.idleSink.NoteIdle(n.idx)
@@ -873,7 +541,7 @@ func (f *Fleet) recycle(j *job.Job) {
 // job parks at the dispatcher — watched by a global deadline event — until a
 // machine recovers or the deadline passes.
 func (f *Fleet) dispatch(j *job.Job, now float64, redisp bool) error {
-	m, score, ok := f.cfg.Dispatch.Pick(f)
+	m, score, ok := f.cfg.Dispatch.Pick(&f.view)
 	if !ok {
 		f.pending.Push(j)
 		if _, err := f.global.Schedule(j.Deadline, sim.KindDeadline); err != nil {
@@ -890,6 +558,7 @@ func (f *Fleet) dispatch(j *job.Job, now float64, redisp bool) error {
 	if err := f.sendJob(n, j, now); err != nil {
 		return err
 	}
+	budget := n.d.Server().Budget()
 	if redisp {
 		f.redispatches++
 		n.redispatches++
@@ -898,16 +567,17 @@ func (f *Fleet) dispatch(j *job.Job, now float64, redisp bool) error {
 		if f.decisions != nil {
 			f.decisions.ObserveDecision(obs.Decision{Time: now, Kind: obs.DecisionRedispatch,
 				Machine: m, Job: j.ID, Score: score, Alts: j.Requeues,
-				Load: j.Remaining(), Budget: n.server.Budget(), Action: "redispatch"})
+				Load: j.Remaining(), Budget: budget, Action: "redispatch"})
 		}
 	} else {
 		n.dispatches++
+		eligible := f.view.EligibleCount()
 		obs.Emit(f.obs, obs.Event{Time: now, Type: obs.EventDispatch,
-			Core: m, Job: j.ID, Value: score, Aux: float64(len(f.eligList))})
+			Core: m, Job: j.ID, Value: score, Aux: float64(eligible)})
 		if f.decisions != nil {
 			f.decisions.ObserveDecision(obs.Decision{Time: now, Kind: obs.DecisionDispatch,
-				Machine: m, Job: j.ID, Score: score, Alts: len(f.eligList),
-				Load: f.viewQW[m], Budget: n.server.Budget(), Action: "dispatch"})
+				Machine: m, Job: j.ID, Score: score, Alts: eligible,
+				Load: f.view.QueuedWork(m), Budget: budget, Action: "dispatch"})
 		}
 	}
 	return nil
@@ -922,11 +592,7 @@ func (f *Fleet) sendJob(n *node, j *job.Job, now float64) error {
 	}
 	n.inflightQW += j.Remaining()
 	n.inflightJobs++
-	f.viewQW[n.idx] += j.Remaining()
-	if f.viewIdle[n.idx] > 0 {
-		f.viewIdle[n.idx]--
-	}
-	f.updateDrain(n.idx)
+	f.view.route(n.idx, j.Remaining())
 	return nil
 }
 
@@ -958,9 +624,10 @@ func (f *Fleet) redispatch(j *job.Job, now float64) error {
 // exact.
 func (f *Fleet) applyMachineFault(now float64, fe faults.MachineEvent) error {
 	n := f.nodes[fe.Machine]
-	if err := f.catchUp(n, now); err != nil {
+	if err := n.catchUp(now); err != nil {
 		return err
 	}
+	server := n.d.Server()
 	switch fe.Kind {
 	case faults.MachineCrash:
 		if !n.up {
@@ -969,23 +636,19 @@ func (f *Fleet) applyMachineFault(now float64, fe faults.MachineEvent) error {
 		n.up = false
 		n.downSince = now
 		n.crashes++
-		f.setEligible(n.idx, false)
+		f.view.setEligible(n.idx, false)
 		// Halt every core; in-flight progress is wiped — this is the
 		// difference from a core failure, where partial work survives on
 		// the job. The wiped units are the crash's lost work.
 		f.displaced = f.displaced[:0]
 		orphans := 0
 		wiped := 0.0
-		for i, c := range n.server.Cores {
-			if id := n.idleEvents[i]; id != 0 {
-				n.shard.engine.Cancel(id)
-				n.idleEvents[i] = 0
-			}
-			for _, entry := range c.Fail(now) {
+		for i := range server.Cores {
+			for _, entry := range n.d.FailCore(now, i) {
 				j := entry.Job
 				if j.Done() || j.Expired(now) {
 					// Nothing worth re-running elsewhere; finalize in place.
-					n.expireLocal(j, now, now, i)
+					n.d.Expire(j, now, now, i)
 					continue
 				}
 				orphans++
@@ -999,10 +662,10 @@ func (f *Fleet) applyMachineFault(now float64, fe faults.MachineEvent) error {
 		}
 		// Stranded waiting jobs: never started, but the machine holding
 		// them is gone; they re-route with the same retry accounting.
-		f.drained = n.wait.AppendDrain(f.drained[:0])
+		f.drained = n.d.Waiting().AppendDrain(f.drained[:0])
 		for _, j := range f.drained {
 			if j.Expired(now) {
-				n.expireLocal(j, j.Deadline, now, -1)
+				n.d.Expire(j, j.Deadline, now, -1)
 				continue
 			}
 			j.Requeues++
@@ -1023,10 +686,10 @@ func (f *Fleet) applyMachineFault(now float64, fe faults.MachineEvent) error {
 		}
 		n.up = true
 		n.downTime += now - n.downSince
-		for _, c := range n.server.Cores {
+		for _, c := range server.Cores {
 			c.Recover(now)
 		}
-		f.setEligible(n.idx, !n.partitioned)
+		f.view.setEligible(n.idx, !n.partitioned)
 		f.refreshView(n)
 		obs.Emit(f.obs, obs.Event{Time: now, Type: obs.EventMachineUp,
 			Core: n.idx, Job: -1})
@@ -1039,7 +702,7 @@ func (f *Fleet) applyMachineFault(now float64, fe faults.MachineEvent) error {
 		}
 		n.partitioned = true
 		f.partitions++
-		f.setEligible(n.idx, false)
+		f.view.setEligible(n.idx, false)
 		obs.Emit(f.obs, obs.Event{Time: now, Type: obs.EventMachinePartition,
 			Core: n.idx, Job: -1, Flag: true})
 
@@ -1048,40 +711,30 @@ func (f *Fleet) applyMachineFault(now float64, fe faults.MachineEvent) error {
 			return nil
 		}
 		n.partitioned = false
-		f.setEligible(n.idx, n.up)
+		f.view.setEligible(n.idx, n.up)
 		f.refreshView(n)
 		obs.Emit(f.obs, obs.Event{Time: now, Type: obs.EventMachinePartition,
 			Core: n.idx, Job: -1, Flag: false})
 		f.noteIdleNow(n)
 		return f.drainPending(now)
 
-	case faults.MachineSlow:
-		n.slowFactor = fe.Factor
-		n.server.SetBudget(f.nodeCfg.PowerBudget * fe.Factor)
-		f.degrades++
+	case faults.MachineSlow, faults.MachineRestore:
+		factor, action := fe.Factor, "slow"
+		if fe.Kind == faults.MachineRestore {
+			factor, action = 1, "restore"
+		} else {
+			f.degrades++
+		}
+		server.SetBudget(f.nodeCfg.PowerBudget * factor)
 		obs.Emit(f.obs, obs.Event{Time: now, Type: obs.EventMachineDegrade,
-			Core: n.idx, Job: -1, Flag: true, Value: fe.Factor})
+			Core: n.idx, Job: -1, Flag: fe.Kind == faults.MachineSlow, Value: factor})
 		if f.decisions != nil {
 			f.decisions.ObserveDecision(obs.Decision{Time: now, Kind: obs.DecisionReplan,
-				Machine: n.idx, Job: -1, Budget: n.server.Budget(),
-				Score: fe.Factor, Action: "slow"})
+				Machine: n.idx, Job: -1, Budget: server.Budget(),
+				Score: factor, Action: action})
 		}
 		if n.up {
-			return f.invoke(n, now, sched.TriggerFault)
-		}
-
-	case faults.MachineRestore:
-		n.slowFactor = 0
-		n.server.SetBudget(f.nodeCfg.PowerBudget)
-		obs.Emit(f.obs, obs.Event{Time: now, Type: obs.EventMachineDegrade,
-			Core: n.idx, Job: -1, Flag: false, Value: 1})
-		if f.decisions != nil {
-			f.decisions.ObserveDecision(obs.Decision{Time: now, Kind: obs.DecisionReplan,
-				Machine: n.idx, Job: -1, Budget: n.server.Budget(),
-				Score: 1, Action: "restore"})
-		}
-		if n.up {
-			return f.invoke(n, now, sched.TriggerFault)
+			return n.invoke(now, sched.TriggerFault)
 		}
 	}
 	return nil
@@ -1092,7 +745,7 @@ func (f *Fleet) applyMachineFault(now float64, fe faults.MachineEvent) error {
 func (f *Fleet) drainPending(now float64) error {
 	for f.pending.Len() > 0 {
 		j := f.pending.Peek()[0]
-		m, score, ok := f.cfg.Dispatch.Pick(f)
+		m, score, ok := f.cfg.Dispatch.Pick(&f.view)
 		if !ok {
 			return nil
 		}
@@ -1107,7 +760,7 @@ func (f *Fleet) drainPending(now float64) error {
 		if f.decisions != nil {
 			f.decisions.ObserveDecision(obs.Decision{Time: now, Kind: obs.DecisionDispatch,
 				Machine: m, Job: j.ID, Score: score,
-				Budget: n.server.Budget(), Action: "drain"})
+				Budget: n.d.Server().Budget(), Action: "drain"})
 		}
 	}
 	return nil
@@ -1137,7 +790,7 @@ func (f *Fleet) scheduleNextArrival() error {
 
 // finished reports whether quantum ticks can stop: no future arrivals,
 // nothing parked, every generated job finalized (a busy core or queued job
-// implies an unfinalized one, so this subsumes the old all-cores-idle scan).
+// implies an unfinalized one, so this subsumes an all-cores-idle scan).
 // Exact at quantum barriers, where every finalization buffer has flushed.
 func (f *Fleet) finished() bool {
 	return f.genDone && f.pending.Len() == 0 && f.finalized == f.jobs
@@ -1153,7 +806,7 @@ func (f *Fleet) result() Result {
 	}
 	res := Result{
 		Dispatch:       f.cfg.Dispatch.Name(),
-		Scheduler:      f.nodes[0].policy.Name(),
+		Scheduler:      f.nodes[0].d.Policy().Name(),
 		Machines:       len(f.nodes),
 		Jobs:           f.jobs,
 		Dropped:        f.dropped,
@@ -1181,9 +834,11 @@ func (f *Fleet) result() Result {
 	aesTotal := 0.0
 	anyMode := false
 	for i, n := range f.nodes {
-		// Flush the open mode interval and the machine's down interval.
-		if n.modeSet {
-			n.RecordMode(simTime, n.modeAES)
+		// Close the open mode interval and the machine's down interval.
+		modes := n.d.Modes()
+		if modes.Reported {
+			n.d.CloseMode(simTime)
+			modes = n.d.Modes()
 			anyMode = true
 		}
 		down := n.downTime
@@ -1191,26 +846,27 @@ func (f *Fleet) result() Result {
 			down += simTime - n.downSince
 		}
 		downTotal += down
-		aesTotal += n.aesTime
+		aesTotal += modes.AESTime
+		server := n.d.Server()
 		mr := MachineResult{
-			Energy:       n.server.Energy(),
-			Quality:      n.acc.Quality(),
-			Completed:    n.server.Completed(),
-			Expired:      n.server.Expired() + n.queueExpired,
+			Energy:       server.Energy(),
+			Quality:      n.d.Monitor().Quality(),
+			Completed:    server.Completed(),
+			Expired:      server.Expired() + n.d.QueueExpired(),
 			Crashes:      n.crashes,
 			DownTime:     down,
 			Dispatches:   n.dispatches,
 			Redispatches: n.redispatches,
 		}
-		if simTime > 0 && n.modeSet {
-			mr.AESFraction = n.aesTime / simTime
+		if simTime > 0 && modes.Reported {
+			mr.AESFraction = modes.AESTime / simTime
 		}
 		res.PerMachine[i] = mr
-		res.Energy += n.server.Energy()
-		res.AESEnergy += n.aesEnergy
-		res.BQEnergy += n.bqEnergy
-		res.Completed += n.server.Completed()
-		res.Expired += n.server.Expired() + n.queueExpired
+		res.Energy += mr.Energy
+		res.AESEnergy += modes.AESEnergy
+		res.BQEnergy += modes.BQEnergy
+		res.Completed += mr.Completed
+		res.Expired += mr.Expired
 		res.Crashes += n.crashes
 	}
 	res.Expired += f.pendingExpired

@@ -4,32 +4,142 @@ import (
 	"fmt"
 	"sort"
 
-	"goodenough/internal/machine"
-	"goodenough/internal/power"
 	"goodenough/internal/rng"
 )
 
-// View is the dispatcher's window onto the fleet. Health-aware policies see
-// reachability (up and not partitioned) plus cheap load signals; the
-// omniscient ideal baseline additionally reads the true instantaneous
+// View is the dispatcher's window onto the fleet, one slot per machine:
+// reachability (up and not partitioned) plus cheap load signals, cached at
+// barriers and adjusted as jobs are routed, so reads cost O(1) and never
+// advance a machine. Health-aware policies read reachability, queued work
+// and idle cores; the omniscient ideal baseline additionally reads the true
 // capacity, including degradations a real dispatcher could not observe.
-type View interface {
-	// Machines returns the fleet size.
-	Machines() int
-	// Eligible reports whether machine m can receive work: up and
-	// reachable from the dispatcher.
-	Eligible(m int) bool
-	// QueuedWork returns the remaining processing units queued on machine
-	// m (waiting plus planned), the load signal health-aware policies key
-	// on.
-	QueuedWork(m int) float64
-	// HasIdleCore reports whether machine m has at least one healthy idle
-	// core right now.
-	HasIdleCore(m int) bool
-	// Capacity returns machine m's sustainable processing rate under its
-	// *current* (possibly degraded) power budget — omniscient information
-	// reserved for the ideal baseline.
-	Capacity(m int) float64
+//
+// Two indexes keep every pick path sublinear: the eligible machines in
+// swap-remove order, maintained on fault transitions, so sampling policies
+// draw by rank in O(1); and a min-heap of queued-work/capacity drain
+// scores, built on the first BestDrain call and re-keyed in O(log N) on
+// every later change.
+type View struct {
+	queued   []float64
+	idle     []int
+	capacity []float64
+	elig     []int // eligible machines, swap-remove order
+	eligPos  []int // machine -> slot in elig, -1 when ineligible
+	drain    *drainHeap
+}
+
+// newView returns a view of n machines, none of them eligible yet.
+func newView(n int) View {
+	v := View{
+		queued:   make([]float64, n),
+		idle:     make([]int, n),
+		capacity: make([]float64, n),
+		elig:     make([]int, 0, n),
+		eligPos:  make([]int, n),
+	}
+	for m := range v.eligPos {
+		v.eligPos[m] = -1
+	}
+	return v
+}
+
+// Machines returns the fleet size.
+func (v *View) Machines() int { return len(v.queued) }
+
+// Eligible reports whether machine m can receive work: up and reachable
+// from the dispatcher.
+func (v *View) Eligible(m int) bool { return v.eligPos[m] >= 0 }
+
+// QueuedWork returns the remaining processing units queued on machine m
+// (waiting plus planned, plus everything routed to it since its last
+// refresh), the load signal health-aware policies key on.
+func (v *View) QueuedWork(m int) float64 { return v.queued[m] }
+
+// HasIdleCore reports whether machine m has a healthy idle core not yet
+// claimed by a job routed to it.
+func (v *View) HasIdleCore(m int) bool { return v.idle[m] > 0 }
+
+// Capacity returns machine m's sustainable processing rate under its
+// current (possibly degraded) power budget — omniscient information
+// reserved for the ideal baseline.
+func (v *View) Capacity(m int) float64 { return v.capacity[m] }
+
+// EligibleCount returns the number of eligible machines.
+func (v *View) EligibleCount() int { return len(v.elig) }
+
+// EligibleAt returns the eligible machine at the given rank in [0,
+// EligibleCount()). Rank order is arbitrary but deterministic.
+func (v *View) EligibleAt(rank int) int { return v.elig[rank] }
+
+// BestDrain returns the eligible machine with the minimum
+// queued-work/capacity score (ties to the lower index), or ok=false when
+// none is eligible.
+func (v *View) BestDrain() (m int, score float64, ok bool) {
+	if v.drain == nil {
+		v.drain = newDrainHeap(len(v.queued))
+		for _, m := range v.elig {
+			v.rekey(m)
+		}
+	}
+	if len(v.drain.heap) == 0 {
+		return -1, 0, false
+	}
+	m = v.drain.heap[0]
+	return m, v.drain.score[m], true
+}
+
+// set refreshes machine m's load signals.
+func (v *View) set(m int, queued float64, idle int, capacity float64) {
+	v.queued[m] = queued
+	v.idle[m] = idle
+	v.capacity[m] = capacity
+	v.rekey(m)
+}
+
+// route adds a job routed to machine m: its work counts as queued, and it
+// claims one idle core, until the machine's next refresh.
+func (v *View) route(m int, work float64) {
+	v.queued[m] += work
+	if v.idle[m] > 0 {
+		v.idle[m]--
+	}
+	v.rekey(m)
+}
+
+// setEligible moves machine m in or out of the eligible set (swap-remove
+// keeps both directions O(1)).
+func (v *View) setEligible(m int, ok bool) {
+	at := v.eligPos[m]
+	if ok {
+		if at < 0 {
+			v.eligPos[m] = len(v.elig)
+			v.elig = append(v.elig, m)
+		}
+	} else if at >= 0 {
+		last := len(v.elig) - 1
+		moved := v.elig[last]
+		v.elig[at] = moved
+		v.eligPos[moved] = at
+		v.elig = v.elig[:last]
+		v.eligPos[m] = -1
+	}
+	v.rekey(m)
+}
+
+// rekey updates machine m's drain score once the heap exists.
+func (v *View) rekey(m int) {
+	if v.drain == nil {
+		return
+	}
+	if !v.Eligible(m) {
+		v.drain.remove(m)
+		return
+	}
+	s := inf
+	if c := v.capacity[m]; c > 0 {
+		s = v.queued[m] / c
+	}
+	v.drain.update(m, s)
 }
 
 // Dispatcher picks the machine a job is routed to. Implementations must be
@@ -41,7 +151,7 @@ type Dispatcher interface {
 	// Pick returns the chosen machine index and the score it was chosen
 	// on, or ok=false when no machine is eligible (the job parks at the
 	// dispatcher until one recovers).
-	Pick(v View) (m int, score float64, ok bool)
+	Pick(v *View) (m int, score float64, ok bool)
 	// Reset clears cross-run state (cursors, heaps, rng).
 	Reset()
 }
@@ -50,28 +160,6 @@ type Dispatcher interface {
 // heap; the fleet calls NoteIdle when a machine gains an idle healthy core.
 type idleNotifier interface {
 	NoteIdle(m int)
-}
-
-// eligibleIndex is implemented by Views that maintain the eligible-machine
-// set incrementally (updated on fault transitions, not per pick), so
-// sampling policies can draw from it in O(1) instead of scanning all N
-// machines per dispatch.
-type eligibleIndex interface {
-	// EligibleCount returns the number of eligible machines.
-	EligibleCount() int
-	// EligibleAt returns the machine at the given rank in [0,
-	// EligibleCount()). Rank order is arbitrary but deterministic.
-	EligibleAt(rank int) int
-}
-
-// drainIndex is implemented by Views that maintain the queued-work/capacity
-// drain scores in an indexed min-heap, keeping the omniscient ideal
-// baseline O(log N) per routing change instead of O(N) per pick.
-type drainIndex interface {
-	// BestDrain returns the eligible machine with the minimum
-	// queued-work/capacity score (ties to the lower index), or ok=false
-	// when none is eligible.
-	BestDrain() (m int, score float64, ok bool)
 }
 
 // Policies lists the accepted dispatch policy names.
@@ -106,7 +194,7 @@ type roundRobin struct {
 func (r *roundRobin) Name() string { return "rr" }
 func (r *roundRobin) Reset()       { r.next = 0 }
 
-func (r *roundRobin) Pick(v View) (int, float64, bool) {
+func (r *roundRobin) Pick(v *View) (int, float64, bool) {
 	n := v.Machines()
 	for i := 0; i < n; i++ {
 		m := (r.next + i) % n
@@ -125,7 +213,7 @@ type leastLoaded struct{}
 func (l *leastLoaded) Name() string { return "least-loaded" }
 func (l *leastLoaded) Reset()       {}
 
-func (l *leastLoaded) Pick(v View) (int, float64, bool) {
+func (l *leastLoaded) Pick(v *View) (int, float64, bool) {
 	best, bestScore := -1, 0.0
 	for m := 0; m < v.Machines(); m++ {
 		if !v.Eligible(m) {
@@ -178,7 +266,7 @@ func (p *powerOfK) NoteIdle(m int) {
 	sort.Ints(p.heap) // tiny; keeps pops deterministic by index
 }
 
-func (p *powerOfK) Pick(v View) (int, float64, bool) {
+func (p *powerOfK) Pick(v *View) (int, float64, bool) {
 	// Drain the idle heap first, discarding entries that are no longer
 	// idle or reachable.
 	for len(p.heap) > 0 {
@@ -189,49 +277,9 @@ func (p *powerOfK) Pick(v View) (int, float64, bool) {
 			return m, 0, true
 		}
 	}
-	// No idle machine known: sample k distinct reachable machines and take
-	// the least loaded. With an eligibility index the sample is drawn by
-	// rank in O(k); otherwise fall back to collecting the eligible list.
-	if ei, ok := v.(eligibleIndex); ok {
-		n := ei.EligibleCount()
-		if n == 0 {
-			return -1, 0, false
-		}
-		k := p.k
-		if k > n {
-			k = n
-		}
-		p.scratch = p.scratch[:0]
-		for len(p.scratch) < k {
-			r := p.src.Intn(n)
-			dup := false
-			for _, seen := range p.scratch {
-				if seen == r {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				p.scratch = append(p.scratch, r)
-			}
-		}
-		best, bestScore := -1, 0.0
-		for _, r := range p.scratch {
-			m := ei.EligibleAt(r)
-			s := v.QueuedWork(m)
-			if best < 0 || s < bestScore || (s == bestScore && m < best) {
-				best, bestScore = m, s
-			}
-		}
-		return best, bestScore, true
-	}
-	p.scratch = p.scratch[:0]
-	for m := 0; m < v.Machines(); m++ {
-		if v.Eligible(m) {
-			p.scratch = append(p.scratch, m)
-		}
-	}
-	n := len(p.scratch)
+	// No idle machine known: sample k distinct reachable machines by rank
+	// and take the least loaded.
+	n := v.EligibleCount()
 	if n == 0 {
 		return -1, 0, false
 	}
@@ -239,14 +287,23 @@ func (p *powerOfK) Pick(v View) (int, float64, bool) {
 	if k > n {
 		k = n
 	}
-	// Partial Fisher–Yates over the eligible list: the first k entries
-	// become the sample.
-	for i := 0; i < k; i++ {
-		j := i + p.src.Intn(n-i)
-		p.scratch[i], p.scratch[j] = p.scratch[j], p.scratch[i]
+	p.scratch = p.scratch[:0]
+	for len(p.scratch) < k {
+		r := p.src.Intn(n)
+		dup := false
+		for _, seen := range p.scratch {
+			if seen == r {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			p.scratch = append(p.scratch, r)
+		}
 	}
 	best, bestScore := -1, 0.0
-	for _, m := range p.scratch[:k] {
+	for _, r := range p.scratch {
+		m := v.EligibleAt(r)
 		s := v.QueuedWork(m)
 		if best < 0 || s < bestScore || (s == bestScore && m < best) {
 			best, bestScore = m, s
@@ -265,37 +322,15 @@ type ideal struct{}
 func (i *ideal) Name() string { return "ideal" }
 func (i *ideal) Reset()       {}
 
-func (i *ideal) Pick(v View) (int, float64, bool) {
-	if di, ok := v.(drainIndex); ok {
-		return di.BestDrain()
-	}
-	best, bestScore := -1, 0.0
-	for m := 0; m < v.Machines(); m++ {
-		if !v.Eligible(m) {
-			continue
-		}
-		cap := v.Capacity(m)
-		var s float64
-		if cap <= 0 {
-			s = inf
-		} else {
-			s = v.QueuedWork(m) / cap
-		}
-		if best < 0 || s < bestScore {
-			best, bestScore = m, s
-		}
-	}
-	return best, bestScore, best >= 0
-}
+func (i *ideal) Pick(v *View) (int, float64, bool) { return v.BestDrain() }
 
 const inf = 1e300
 
 // drainHeap is an indexed binary min-heap of machines keyed by
-// (drain score, machine index): the backing structure for drainIndex.
+// (drain score, machine index): the backing structure for View.BestDrain.
 // Re-keying an entry costs O(log N) and happens only when a machine's
 // queued work or capacity actually changes (a routed job, a barrier view
-// refresh, a fault transition), replacing the O(N) scoring scan the ideal
-// dispatcher ran on every pick.
+// refresh, a fault transition).
 type drainHeap struct {
 	heap  []int     // machine indices, heap-ordered
 	pos   []int     // machine -> heap slot, -1 when absent
@@ -385,22 +420,4 @@ func (d *drainHeap) remove(m int) {
 		d.siftUp(i)
 		d.siftDown(d.pos[moved])
 	}
-}
-
-// capacityAt computes a machine's sustainable aggregate processing rate:
-// every healthy core running at its equal share of the current budget.
-func capacityAt(s *machine.Server) float64 {
-	alive := s.Healthy()
-	budget := s.Budget()
-	if alive == 0 || budget <= 0 {
-		return 0
-	}
-	share := budget / float64(alive)
-	sum := 0.0
-	for i, c := range s.Cores {
-		if c.Healthy() {
-			sum += power.Rate(s.ModelFor(i).Speed(share))
-		}
-	}
-	return sum
 }

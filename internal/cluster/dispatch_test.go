@@ -5,19 +5,25 @@ import (
 	"testing"
 )
 
-// fakeView is a scripted fleet state for dispatcher unit tests.
-type fakeView struct {
-	eligible []bool
-	queued   []float64
-	idle     []bool
-	capacity []float64
+// testView builds a fleet view through the same update methods the fleet
+// uses: per-machine eligibility, queued work, idleness and capacity.
+func testView(eligible []bool, queued []float64, idle []bool, capacity []float64) *View {
+	v := newView(len(eligible))
+	for m := range eligible {
+		setMachine(&v, m, queued[m], idle[m], capacity[m])
+		v.setEligible(m, eligible[m])
+	}
+	return &v
 }
 
-func (v *fakeView) Machines() int            { return len(v.eligible) }
-func (v *fakeView) Eligible(m int) bool      { return v.eligible[m] }
-func (v *fakeView) QueuedWork(m int) float64 { return v.queued[m] }
-func (v *fakeView) HasIdleCore(m int) bool   { return v.idle[m] }
-func (v *fakeView) Capacity(m int) float64   { return v.capacity[m] }
+// setMachine refreshes one machine's load signals in v.
+func setMachine(v *View, m int, queued float64, idle bool, capacity float64) {
+	n := 0
+	if idle {
+		n = 1
+	}
+	v.set(m, queued, n, capacity)
+}
 
 func TestNewDispatcherNames(t *testing.T) {
 	for _, name := range Policies() {
@@ -44,12 +50,12 @@ func TestNewDispatcherNames(t *testing.T) {
 func TestRoundRobinSkipsUnreachable(t *testing.T) {
 	d, _ := NewDispatcher("rr", 2, 1)
 	d.Reset()
-	v := &fakeView{
-		eligible: []bool{true, false, true},
-		queued:   []float64{0, 0, 0},
-		idle:     []bool{true, true, true},
-		capacity: []float64{1, 1, 1},
-	}
+	v := testView(
+		[]bool{true, false, true},
+		[]float64{0, 0, 0},
+		[]bool{true, true, true},
+		[]float64{1, 1, 1},
+	)
 	var picks []int
 	for i := 0; i < 4; i++ {
 		m, _, ok := d.Pick(v)
@@ -61,7 +67,8 @@ func TestRoundRobinSkipsUnreachable(t *testing.T) {
 	if want := []int{0, 2, 0, 2}; !reflect.DeepEqual(picks, want) {
 		t.Fatalf("rr picks = %v, want %v", picks, want)
 	}
-	v.eligible = []bool{false, false, false}
+	v.setEligible(0, false)
+	v.setEligible(2, false)
 	if _, _, ok := d.Pick(v); ok {
 		t.Fatal("picked a machine with none eligible")
 	}
@@ -69,17 +76,17 @@ func TestRoundRobinSkipsUnreachable(t *testing.T) {
 
 func TestLeastLoadedPicksMinimum(t *testing.T) {
 	d, _ := NewDispatcher("least-loaded", 2, 1)
-	v := &fakeView{
-		eligible: []bool{true, true, true},
-		queued:   []float64{5, 2, 9},
-		idle:     []bool{false, false, false},
-		capacity: []float64{1, 1, 1},
-	}
+	v := testView(
+		[]bool{true, true, true},
+		[]float64{5, 2, 9},
+		[]bool{false, false, false},
+		[]float64{1, 1, 1},
+	)
 	m, score, ok := d.Pick(v)
 	if !ok || m != 1 || score != 2 {
 		t.Fatalf("pick = (%d, %v, %v), want machine 1 at load 2", m, score, ok)
 	}
-	v.eligible[1] = false
+	v.setEligible(1, false)
 	if m, _, _ := d.Pick(v); m != 0 {
 		t.Fatalf("pick = %d with machine 1 unreachable, want 0", m)
 	}
@@ -88,12 +95,12 @@ func TestLeastLoadedPicksMinimum(t *testing.T) {
 func TestPowerOfKPrefersIdleAndInvalidatesLazily(t *testing.T) {
 	d, _ := NewDispatcher("p2c", 2, 1)
 	d.Reset()
-	v := &fakeView{
-		eligible: []bool{true, true, true},
-		queued:   []float64{4, 1, 3},
-		idle:     []bool{false, true, false},
-		capacity: []float64{1, 1, 1},
-	}
+	v := testView(
+		[]bool{true, true, true},
+		[]float64{4, 1, 3},
+		[]bool{false, true, false},
+		[]float64{1, 1, 1},
+	)
 	n := d.(idleNotifier)
 	n.NoteIdle(1)
 	n.NoteIdle(2)
@@ -105,23 +112,23 @@ func TestPowerOfKPrefersIdleAndInvalidatesLazily(t *testing.T) {
 	}
 	// Machine 2's idleness went stale: the pop must re-check the live view
 	// and fall through to sampling instead of routing on stale state.
-	v.idle[1] = false
+	setMachine(v, 1, 1, false, 1)
 	m, _, ok := d.Pick(v)
 	if !ok {
 		t.Fatal("no pick despite eligible machines")
 	}
-	if v.idle[m] {
+	if v.HasIdleCore(m) {
 		t.Fatalf("sampled pick %d claims idleness the view does not show", m)
 	}
 }
 
 func TestPowerOfKDeterministicSampling(t *testing.T) {
-	v := &fakeView{
-		eligible: []bool{true, true, true, true, true},
-		queued:   []float64{5, 4, 3, 2, 1},
-		idle:     []bool{false, false, false, false, false},
-		capacity: []float64{1, 1, 1, 1, 1},
-	}
+	v := testView(
+		[]bool{true, true, true, true, true},
+		[]float64{5, 4, 3, 2, 1},
+		[]bool{false, false, false, false, false},
+		[]float64{1, 1, 1, 1, 1},
+	)
 	run := func() []int {
 		d, _ := NewDispatcher("p2c", 2, 77)
 		d.Reset()
@@ -144,18 +151,18 @@ func TestIdealWeighsDegradedCapacity(t *testing.T) {
 	d, _ := NewDispatcher("ideal", 2, 1)
 	// Machine 0 has less queued work, but machine 1 drains faster: 4/1 = 4
 	// vs 6/3 = 2. Only the omniscient baseline sees the capacities.
-	v := &fakeView{
-		eligible: []bool{true, true},
-		queued:   []float64{4, 6},
-		idle:     []bool{false, false},
-		capacity: []float64{1, 3},
-	}
+	v := testView(
+		[]bool{true, true},
+		[]float64{4, 6},
+		[]bool{false, false},
+		[]float64{1, 3},
+	)
 	if m, _, _ := d.Pick(v); m != 1 {
 		t.Fatalf("ideal picked %d, want 1 (shorter drain time)", m)
 	}
 	// A zero-capacity machine (all cores dead but not crashed) is a last
 	// resort, never preferred.
-	v.capacity = []float64{0, 3}
+	setMachine(v, 0, 4, false, 0)
 	if m, _, _ := d.Pick(v); m != 1 {
 		t.Fatalf("ideal picked zero-capacity machine %d", m)
 	}

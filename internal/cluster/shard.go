@@ -81,11 +81,10 @@ func (s *shard) handle(e *sim.Event) error {
 		s.inbox[s.inboxHead] = nil
 		s.inboxHead++
 		n := f.nodes[e.Core]
-		if err := f.catchUp(n, now); err != nil {
+		if err := n.catchUp(now); err != nil {
 			return err
 		}
-		n.wait.Push(j)
-		n.noteArrival(now, f.nodeCfg.RateWindow)
+		n.d.Enqueue(now, j)
 		n.inflightQW -= j.Remaining()
 		if n.inflightJobs--; n.inflightJobs <= 0 {
 			n.inflightJobs = 0
@@ -97,32 +96,24 @@ func (s *shard) handle(e *sim.Event) error {
 			// queue (expiring on its deadline watch) until recovery.
 			return nil
 		}
-		if n.wait.Len() >= f.nodeCfg.CounterTrigger {
-			return f.invoke(n, now, sched.TriggerCounter)
-		}
-		if n.anyIdleCore() {
-			return f.invoke(n, now, sched.TriggerIdleCore)
-		}
+		return n.d.OnArrival(now)
 
 	case sim.KindCoreIdle: // projected core drain; Core = core, Ref = machine
 		n := f.nodes[e.Ref]
-		n.idleEvents[e.Core] = 0
-		// Catch up first: the core drains during the advance to now, so an
-		// Idle check against the stale clock would drop the trigger.
-		if err := f.catchUp(n, now); err != nil {
+		if err := n.catchUp(now); err != nil {
 			return err
 		}
-		if n.up && n.server.Cores[e.Core].Idle() && n.server.Cores[e.Core].Healthy() {
-			if err := f.invoke(n, now, sched.TriggerIdleCore); err != nil {
-				return err
-			}
+		woke, err := n.d.Wake(now, e.Core)
+		if woke {
+			n.dirty = true
 			n.idleNote = true
 		}
+		return err
 
 	case sim.KindDeadline: // deadline watch; Ref = machine
 		// Catching up runs queue expiry; a watch for a job that already
 		// completed or moved elsewhere finds nothing expired.
-		return f.catchUp(f.nodes[e.Ref], now)
+		return f.nodes[e.Ref].catchUp(now)
 	}
 	return nil
 }
@@ -174,7 +165,7 @@ func (f *Fleet) quantumFanout(now float64) error {
 	return f.runShards(func(s *shard) error {
 		for _, n := range s.nodes {
 			if n.up {
-				if err := f.invoke(n, now, sched.TriggerQuantum); err != nil {
+				if err := n.invoke(now, sched.TriggerQuantum); err != nil {
 					return err
 				}
 			}
@@ -202,18 +193,17 @@ func (f *Fleet) flush() {
 			}
 			n.decbuf = n.decbuf[:0]
 		}
-		if len(n.finbuf) > 0 {
-			for i := range n.finbuf {
-				r := &n.finbuf[i]
-				f.acc.Add(r.processed, r.demand)
+		if recs := n.d.Finals(); len(recs) > 0 {
+			for _, r := range recs {
+				j := r.Job
+				f.acc.Add(j.Processed, j.Demand)
 				f.finalized++
-				if r.completed {
-					f.responses = append(f.responses, r.response)
+				if r.Completed {
+					f.responses = append(f.responses, j.Finish-j.Release)
 				}
-				f.recycle(r.j)
-				r.j = nil
+				f.recycle(j)
 			}
-			n.finbuf = n.finbuf[:0]
+			n.d.ClearFinals()
 		}
 		if n.idleNote {
 			n.idleNote = false

@@ -143,19 +143,6 @@ func (c *Core) QueueLen() int { return len(c.entries) }
 // Idle reports whether the core has nothing to run.
 func (c *Core) Idle() bool { return len(c.entries) == 0 }
 
-// Settled reports whether advancing this core's clock would be a pure
-// no-op apart from moving `now`: nothing is planned, and no deferred
-// speed-0 event is pending (a core that drained exactly at its last
-// Advance boundary still owes the event stream a speed transition, which
-// must fire at the original time to keep logs byte-identical). Failed
-// cores are settled: their Advance only accumulates zero-speed time.
-func (c *Core) Settled() bool {
-	if len(c.entries) > 0 {
-		return false
-	}
-	return c.obs == nil || c.lastSpeed == 0
-}
-
 // Load returns the total remaining target work queued on the core.
 func (c *Core) Load() float64 {
 	sum := 0.0
@@ -515,20 +502,6 @@ func (s *Server) Advance(to float64, finalize FinalizeFunc) error {
 	return nil
 }
 
-// Quiescent reports whether every core is Settled: advancing the machine
-// clock would execute no work, finalize nothing, emit no events, and add
-// no energy. Callers may then skip the Advance and instead perform a
-// single catch-up Advance later, before any new work lands — the dead
-// span accumulates identically either way.
-func (s *Server) Quiescent() bool {
-	for _, c := range s.Cores {
-		if !c.Settled() {
-			return false
-		}
-	}
-	return true
-}
-
 // SetBudget sets the machine's current total power cap in watts.
 func (s *Server) SetBudget(w float64) { s.budget = w }
 
@@ -544,6 +517,25 @@ func (s *Server) Healthy() int {
 		}
 	}
 	return n
+}
+
+// Capacity returns the machine's sustainable aggregate processing rate in
+// units/second: every healthy core running at its equal share of the
+// current budget. Water-filling can shift power between cores but not
+// create more of it.
+func (s *Server) Capacity() float64 {
+	alive := s.Healthy()
+	if alive == 0 || s.budget <= 0 {
+		return 0
+	}
+	share := s.budget / float64(alive)
+	sum := 0.0
+	for i, c := range s.Cores {
+		if c.Healthy() {
+			sum += power.Rate(s.Models[i].Speed(share))
+		}
+	}
+	return sum
 }
 
 // Failures sums the per-core failure counters.

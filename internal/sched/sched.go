@@ -1,6 +1,8 @@
 // Package sched wires the simulation together: it owns the event loop, the
 // waiting queue, the quality monitor, and the machine, and delegates every
-// scheduling decision to a pluggable Policy.
+// scheduling decision to a pluggable Policy. Driver runs the loop for one
+// machine; Runner is a driver on its own event engine, and the fleet
+// simulator (internal/cluster) runs one driver per machine.
 //
 // The paper's three triggering events (§III-E) drive the loop:
 //
@@ -12,17 +14,16 @@
 //     past their 150 ms deadlines);
 //   - counter triggering: the waiting queue reaches a threshold (default 8).
 //
-// On every trigger the runner advances the machine to the current time
-// (finalizing completed and expired jobs into the quality monitor), drops
-// expired jobs from the waiting queue, and invokes the policy.
+// Before every event the driver settles the machine to the current time
+// (finalizing completed and expired jobs into the quality monitor) and
+// drops expired jobs from the waiting queue; on every trigger it invokes
+// the policy.
 package sched
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"slices"
 
 	"goodenough/internal/faults"
 	"goodenough/internal/job"
@@ -216,24 +217,17 @@ type Context struct {
 	// distribution switches — through obs.Emit(ctx.Observer, ...).
 	Observer obs.Observer
 
-	// Modes receives the policy's AES/BQ mode reports (SetMode). The
-	// single-machine Runner implements it; fleet simulations plug one sink
-	// per machine so per-node AES time is accounted independently.
-	Modes ModeSink
-}
-
-// ModeSink accounts execution-mode reports from mode-switching policies:
-// the AES-time fraction (Fig. 1) and the AES↔BQ switch count.
-type ModeSink interface {
-	RecordMode(now float64, aes bool)
+	// driver accounts the policy's mode reports; nil in a hand-built
+	// Context, where SetMode is a no-op.
+	driver *Driver
 }
 
 // SetMode lets mode-switching policies (GE) report whether they are in AES
 // mode so the run can account the AES-time fraction (Fig. 1) and count
 // mode switches.
 func (c *Context) SetMode(aes bool) {
-	if c.Modes != nil {
-		c.Modes.RecordMode(c.Now, aes)
+	if c.driver != nil {
+		c.driver.setMode(c.Now, aes)
 	}
 }
 
@@ -305,22 +299,19 @@ type Result struct {
 	CancelReason string
 }
 
-// Runner executes one workload against one policy.
+// Runner executes one workload against one policy: a Driver on its own
+// event engine, plus the arrival stream, the core fault schedule, and the
+// optional timeline and spans.
 type Runner struct {
 	cfg    Config
+	d      Driver
 	policy Policy
 	gen    workload.Source
 	engine *sim.Engine
-	server *machine.Server
-	wait   job.FIFO
-	acc    *quality.Accumulator
 
-	arrivalTimes []float64 // ring of recent arrivals for rate estimation
-	genDone      bool
-	jobs         int
-	cutJobs      int64
-	queueExpired int64
-	responses    []float64 // completed jobs' response times
+	genDone   bool
+	jobs      int
+	responses []float64 // completed jobs' response times
 
 	// nextArrival is the one job whose KindArrival event is outstanding —
 	// the kernel carries no payloads, so the runner holds the pointer.
@@ -328,41 +319,10 @@ type Runner struct {
 	// faultEvents is the materialized fault schedule; KindCoreFail etc.
 	// events carry an index (sim.Event.Ref) into this table.
 	faultEvents []faults.Event
-
-	// Fault accounting.
-	requeued int64
-	shed     int64
-
-	// Mode accounting.
-	modeAES      bool
-	modeSet      bool
-	modeSince    float64
-	aesTime      float64
-	modeSwitches int64
-	lastEnergy   float64
-	aesEnergy    float64
-	bqEnergy     float64
-
-	// Per-core pending idle events (cancel-on-replan); 0 means none.
-	idleEvents []sim.EventID
-
-	// pctx is the Context handed to the policy, reused across triggers so
-	// the per-quantum path allocates nothing; shedCands is the shedLoad
-	// scratch. Policies must not retain the Context past Schedule.
-	pctx      Context
-	shedCands []shedCandidate
-	// finalizeFn is the bound finalize method, captured once — taking
-	// r.finalize as a value allocates a closure every time otherwise.
-	finalizeFn machine.FinalizeFunc
-
-	lastEventTime float64
+	requeued    int64
 
 	timeline *metrics.Timeline
-	obs      obs.Observer
 
-	// decisions receives one structured record per consequential choice
-	// (admission, shed, mode switch, replan); nil costs one branch.
-	decisions obs.DecisionSink
 	// spans wraps the run and each policy invocation in wall-clock trace
 	// spans; nil costs one branch. spanParent is the caller's span (e.g.
 	// the serving tier's request span) so the scheduler's work attaches
@@ -378,9 +338,8 @@ type Runner struct {
 // nil to detach. With no observer the emission paths cost one branch and
 // zero allocations.
 func (r *Runner) SetObserver(o obs.Observer) {
-	r.obs = o
 	r.engine.SetObserver(o)
-	r.server.SetObserver(o)
+	r.d.SetObserver(o)
 }
 
 // SetTimeline attaches a recorder that samples quality, power, load, and
@@ -393,15 +352,34 @@ func (r *Runner) SetTimeline(t *metrics.Timeline) { r.timeline = t }
 // (not instead of) the event stream. Call before Run; pass nil to
 // detach. With no sink the decision paths cost one branch and zero
 // allocations.
-func (r *Runner) SetDecisionSink(s obs.DecisionSink) { r.decisions = s }
+func (r *Runner) SetDecisionSink(s obs.DecisionSink) { r.d.SetDecisionSink(s) }
 
 // SetSpans attaches a span bus so the run and every policy invocation
 // are timed as wall-clock trace spans under parent (typically the
 // serving tier's request span; pass the zero SpanContext to root a new
-// trace). Call before Run; a nil bus costs one branch per invocation.
+// trace). Call before Run; a nil bus costs nothing per invocation.
 func (r *Runner) SetSpans(bus *obs.SpanBus, parent obs.SpanContext) {
 	r.spans = bus
 	r.spanParent = parent
+	r.d.policy = r.policy
+	if bus != nil {
+		r.d.policy = spannedPolicy{Policy: r.policy, r: r}
+	}
+}
+
+// spannedPolicy times every policy invocation as a sched.invoke span under
+// the run span.
+type spannedPolicy struct {
+	Policy
+	r *Runner
+}
+
+// Schedule implements Policy.
+func (p spannedPolicy) Schedule(ctx *Context) {
+	sp := p.r.spans.Start("sched.invoke", obs.SpanSched, p.r.runSpanCtx)
+	sp.SetValue(float64(ctx.Waiting.Len()))
+	p.Policy.Schedule(ctx)
+	p.r.spans.Finish(sp)
 }
 
 // SetContext attaches a cancellation context to the run: when ctx is
@@ -416,21 +394,22 @@ func (r *Runner) recordSample(now float64) {
 	if r.timeline == nil {
 		return
 	}
+	server := r.d.server
 	power := 0.0
-	speeds := make([]float64, len(r.server.Cores))
-	for i, c := range r.server.Cores {
+	speeds := make([]float64, len(server.Cores))
+	for i, c := range server.Cores {
 		speeds[i] = c.CurrentSpeed()
 		power += r.cfg.ModelFor(c.Index).Power(speeds[i])
 	}
 	r.timeline.Record(metrics.Sample{
 		Time:    now,
-		Quality: r.acc.Quality(),
+		Quality: r.d.acc.Quality(),
 		Power:   power,
-		Load:    r.server.TotalLoad(),
-		Waiting: r.wait.Len(),
-		AES:     r.modeAES,
+		Load:    server.TotalLoad(),
+		Waiting: r.d.wait.Len(),
+		AES:     r.d.modeAES,
 		Speeds:  speeds,
-		Energy:  r.server.Energy(),
+		Energy:  server.Energy(),
 	})
 }
 
@@ -442,9 +421,6 @@ func NewRunner(cfg Config, policy Policy, spec workload.Spec) (*Runner, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if policy == nil {
-		return nil, fmt.Errorf("sched: policy required")
-	}
 	return newRunner(cfg, policy, workload.NewGenerator(spec))
 }
 
@@ -454,9 +430,6 @@ func NewRunnerFromSource(cfg Config, policy Policy, src workload.Source) (*Runne
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if policy == nil {
-		return nil, fmt.Errorf("sched: policy required")
-	}
 	if src == nil {
 		return nil, fmt.Errorf("sched: job source required")
 	}
@@ -464,27 +437,11 @@ func NewRunnerFromSource(cfg Config, policy Policy, src workload.Source) (*Runne
 }
 
 func newRunner(cfg Config, policy Policy, src workload.Source) (*Runner, error) {
-	var server *machine.Server
-	var err error
-	if cfg.Heterogeneous() {
-		server, err = machine.NewHeterogeneousServer(cfg.PerCoreModels)
-	} else {
-		server, err = machine.NewServer(cfg.Cores, cfg.Model)
-	}
-	if err != nil {
+	r := &Runner{cfg: cfg, policy: policy, gen: src}
+	r.engine = sim.NewEngine(r.handle)
+	if err := r.d.init(&r.cfg, policy, -1, r.engine); err != nil {
 		return nil, err
 	}
-	r := &Runner{
-		cfg:        cfg,
-		policy:     policy,
-		gen:        src,
-		server:     server,
-		acc:        quality.NewAccumulator(cfg.Quality),
-		idleEvents: make([]sim.EventID, cfg.Cores),
-	}
-	server.SetBudget(cfg.PowerBudget)
-	r.finalizeFn = r.finalize
-	r.engine = sim.NewEngine(r.handle)
 	return r, nil
 }
 
@@ -523,40 +480,41 @@ func (r *Runner) Run() (Result, error) {
 		// report the partial run rather than discarding it.
 		cancelReason = err.Error()
 	}
-	// Close out mode accounting.
-	r.setMode(r.engine.Now(), r.modeAES) // flush the open interval
-	obs.Emit(r.obs, obs.Event{Time: r.engine.Now(), Type: obs.EventRunEnd,
-		Core: -1, Job: -1, Value: r.engine.Now()})
+	simTime := r.engine.Now()
+	r.d.CloseMode(simTime)
+	obs.Emit(r.d.obs, obs.Event{Time: simTime, Type: obs.EventRunEnd,
+		Core: -1, Job: -1, Value: simTime})
 	if r.timeline != nil {
 		// Make sure the trajectory's endpoint survives thinning.
 		r.timeline.Flush()
 	}
-	busy := r.server.BusySpeedProfile()
-	simTime := r.engine.Now()
+	server := r.d.server
+	busy := server.BusySpeedProfile()
+	modes := r.d.Modes()
 	res := Result{
-		Scheduler:     r.policy.Name(),
-		Quality:       r.acc.Quality(),
-		Energy:        r.server.Energy(),
-		AvgSpeed:      busy.Mean(),
-		SpeedVariance: busy.Variance(),
-		Jobs:          r.jobs,
-		Completed:     r.server.Completed(),
-		Expired:       r.server.Expired() + r.queueExpired,
-		CutJobs:       r.cutJobs,
-		ModeSwitches:  r.modeSwitches,
-		SimTime:       simTime,
+		Scheduler:         r.policy.Name(),
+		Quality:           r.d.acc.Quality(),
+		Energy:            server.Energy(),
+		AvgSpeed:          busy.Mean(),
+		SpeedVariance:     busy.Variance(),
+		Jobs:              r.jobs,
+		Completed:         server.Completed(),
+		Expired:           server.Expired() + r.d.queueExpired,
+		CutJobs:           r.d.cutJobs,
+		ModeSwitches:      modes.Switches,
+		SimTime:           simTime,
+		MeanResponse:      stats.Mean(r.responses),
+		P95Response:       stats.Quantile(r.responses, 0.95),
+		AESEnergy:         modes.AESEnergy,
+		BQEnergy:          modes.BQEnergy,
+		CoreFailures:      server.Failures(),
+		RequeuedJobs:      r.requeued,
+		DroppedJobs:       r.d.shed,
+		SurvivingCapacity: server.SurvivingCapacity(),
 	}
-	if simTime > 0 && r.modeSet {
-		res.AESFraction = r.aesTime / simTime
+	if simTime > 0 {
+		res.AESFraction = modes.AESTime / simTime
 	}
-	res.MeanResponse = stats.Mean(r.responses)
-	res.P95Response = stats.Quantile(r.responses, 0.95)
-	res.AESEnergy = r.aesEnergy
-	res.BQEnergy = r.bqEnergy
-	res.CoreFailures = r.server.Failures()
-	res.RequeuedJobs = r.requeued
-	res.DroppedJobs = r.shed
-	res.SurvivingCapacity = r.server.SurvivingCapacity()
 	if cancelReason != "" {
 		res.Cancelled = true
 		res.CancelReason = cancelReason
@@ -588,43 +546,46 @@ func simFaultKind(k faults.Kind) (sim.Kind, bool) {
 	}
 }
 
-// handle is the event dispatcher.
+// handle is the event dispatcher. Every event first settles the machine to
+// its instant; the finalization records it produced are drained afterwards,
+// so the buffer never outgrows one event's worth.
 func (r *Runner) handle(e *sim.Event) error {
 	now := e.Time
-	r.lastEventTime = now
-	// Bring the machine to the present; completions/expiries feed the
-	// quality monitor. Energy consumed over the advanced interval belongs
-	// to the mode that was active while it ran.
-	if err := r.server.Advance(now, r.finalizeFn); err != nil {
+	if _, err := r.d.Settle(now); err != nil {
 		return err
 	}
-	if delta := r.server.Energy() - r.lastEnergy; delta > 0 {
-		if r.modeAES {
-			r.aesEnergy += delta
-		} else {
-			r.bqEnergy += delta
-		}
-		r.lastEnergy = r.server.Energy()
+	if err := r.apply(e); err != nil {
+		return err
 	}
-	// Expire waiting jobs whose deadlines have passed unserved.
-	r.expireWaiting(now)
+	for _, f := range r.d.Finals() {
+		if f.Completed {
+			r.responses = append(r.responses, f.Job.Finish-f.Job.Release)
+		}
+	}
+	r.d.ClearFinals()
+	r.recordSample(now)
+	return nil
+}
 
+// apply carries out one event on the settled machine.
+func (r *Runner) apply(e *sim.Event) error {
+	now := e.Time
+	server := r.d.server
 	switch e.Kind {
 	case sim.KindArrival:
 		j := r.nextArrival
 		r.nextArrival = nil
-		r.wait.Push(j)
+		r.d.Enqueue(now, j)
 		r.jobs++
-		r.noteArrival(now)
-		obs.Emit(r.obs, obs.Event{Time: now, Type: obs.EventJobArrive,
+		obs.Emit(r.d.obs, obs.Event{Time: now, Type: obs.EventJobArrive,
 			Core: -1, Job: j.ID, Value: j.Demand, Aux: j.Deadline})
-		if r.decisions != nil {
+		if r.d.decisions != nil {
 			// Every arrival is an (implicit) admission: shedLoad may revoke
 			// it later, but the record of what the policy saw at admit time
 			// is what counterfactual replay needs.
-			r.decisions.ObserveDecision(obs.Decision{Time: now, Kind: obs.DecisionAdmit,
-				Machine: -1, Job: j.ID, Load: r.estimateRate(now),
-				Budget: r.server.Budget(), Alts: r.wait.Len(), Action: "queue"})
+			r.d.decisions.ObserveDecision(obs.Decision{Time: now, Kind: obs.DecisionAdmit,
+				Machine: -1, Job: j.ID, Load: r.d.ArrivalRate(now),
+				Budget: server.Budget(), Alts: r.d.wait.Len(), Action: "queue"})
 		}
 		// Every job gets a deadline event so expiry is observed promptly.
 		if _, err := r.engine.Schedule(j.Deadline, sim.KindDeadline); err != nil {
@@ -633,14 +594,12 @@ func (r *Runner) handle(e *sim.Event) error {
 		if err := r.scheduleNextArrival(); err != nil {
 			return err
 		}
-		if r.wait.Len() >= r.cfg.CounterTrigger {
-			r.invoke(now, TriggerCounter)
-		} else if r.anyIdleCore() {
-			r.invoke(now, TriggerIdleCore)
-		}
+		return r.d.OnArrival(now)
 
 	case sim.KindQuantum:
-		r.invoke(now, TriggerQuantum)
+		if err := r.d.Invoke(now, TriggerQuantum); err != nil {
+			return err
+		}
 		if !r.finished() {
 			if _, err := r.engine.Schedule(now+r.cfg.QuantumSec, sim.KindQuantum); err != nil {
 				return err
@@ -648,60 +607,53 @@ func (r *Runner) handle(e *sim.Event) error {
 		}
 
 	case sim.KindCoreIdle:
-		core := e.Core
-		r.idleEvents[core] = 0
-		if r.server.Cores[core].Idle() && r.server.Cores[core].Healthy() {
-			r.invoke(now, TriggerIdleCore)
-		}
+		_, err := r.d.Wake(now, e.Core)
+		return err
 
 	case sim.KindDeadline:
-		// Machine advance + expireWaiting already finalized whatever was
-		// due; nothing further. The event exists to make expiry timely.
+		// Settling already finalized whatever was due; nothing further.
+		// The event exists to make expiry timely.
 
-	case sim.KindCoreFail:
-		fe := r.faultEvents[e.Ref]
-		obs.Emit(r.obs, fe.Obs())
-		r.failCore(now, fe.Core)
-		r.invoke(now, TriggerFault)
-
-	case sim.KindCoreRecover:
-		fe := r.faultEvents[e.Ref]
-		obs.Emit(r.obs, fe.Obs())
-		if fe.Core >= 0 && fe.Core < len(r.server.Cores) {
-			r.server.Cores[fe.Core].Recover(now)
-		}
-		r.invoke(now, TriggerFault)
-
-	case sim.KindBudgetChange:
-		fe := r.faultEvents[e.Ref]
-		fev := fe.Obs()
-		if fe.Kind == faults.BudgetCap {
-			r.server.SetBudget(fe.Watts)
-		} else {
-			r.server.SetBudget(r.cfg.PowerBudget)
-			fev.Value = r.cfg.PowerBudget
-		}
-		obs.Emit(r.obs, fev)
-		r.invoke(now, TriggerFault)
-
-	case sim.KindSpeedStuck:
-		fe := r.faultEvents[e.Ref]
-		obs.Emit(r.obs, fe.Obs())
-		if fe.Core >= 0 && fe.Core < len(r.server.Cores) {
-			r.server.Cores[fe.Core].SetStuck(fe.Speed)
-		}
-		r.invoke(now, TriggerFault)
-
-	case sim.KindSpeedFree:
-		fe := r.faultEvents[e.Ref]
-		obs.Emit(r.obs, fe.Obs())
-		if fe.Core >= 0 && fe.Core < len(r.server.Cores) {
-			r.server.Cores[fe.Core].SetStuck(0)
-		}
-		r.invoke(now, TriggerFault)
+	case sim.KindCoreFail, sim.KindCoreRecover, sim.KindBudgetChange,
+		sim.KindSpeedStuck, sim.KindSpeedFree:
+		r.applyFault(now, r.faultEvents[e.Ref])
+		return r.d.Invoke(now, TriggerFault)
 	}
-	r.recordSample(now)
 	return nil
+}
+
+// applyFault carries out one scheduled fault event on the machine.
+func (r *Runner) applyFault(now float64, fe faults.Event) {
+	server := r.d.server
+	fev := fe.Obs()
+	if fe.Kind == faults.BudgetRestore {
+		fev.Value = r.cfg.PowerBudget
+	}
+	obs.Emit(r.d.obs, fev)
+	var core *machine.Core
+	if fe.Core >= 0 && fe.Core < len(server.Cores) {
+		core = server.Cores[fe.Core]
+	}
+	switch fe.Kind {
+	case faults.CoreFail:
+		r.failCore(now, fe.Core)
+	case faults.CoreRecover:
+		if core != nil {
+			core.Recover(now)
+		}
+	case faults.BudgetCap:
+		server.SetBudget(fe.Watts)
+	case faults.BudgetRestore:
+		server.SetBudget(r.cfg.PowerBudget)
+	case faults.SpeedStuck:
+		if core != nil {
+			core.SetStuck(fe.Speed)
+		}
+	case faults.SpeedFree:
+		if core != nil {
+			core.SetStuck(0)
+		}
+	}
 }
 
 // failCore halts a core and requeues its orphaned jobs — the one audited
@@ -710,205 +662,23 @@ func (r *Runner) handle(e *sim.Event) error {
 // at failure instants; orphans already past their deadline are finalized
 // instead of requeued.
 func (r *Runner) failCore(now float64, core int) {
-	if core < 0 || core >= len(r.server.Cores) {
+	if core < 0 || core >= len(r.d.server.Cores) || !r.d.server.Cores[core].Healthy() {
 		return
 	}
-	c := r.server.Cores[core]
-	if !c.Healthy() {
-		return
-	}
-	orphans := c.Fail(now)
-	if id := r.idleEvents[core]; id != 0 {
-		r.engine.Cancel(id)
-		r.idleEvents[core] = 0
-	}
-	for _, e := range orphans {
+	for _, e := range r.d.FailCore(now, core) {
 		j := e.Job
 		if j.Done() || j.Expired(now) {
 			// Nothing left to run elsewhere; finalize in place.
-			j.State = job.StateFinalized
-			j.Finish = now
-			r.queueExpired++
-			r.acc.Add(j.Processed, j.Demand)
-			obs.Emit(r.obs, obs.Event{Time: now, Type: obs.EventJobExpire,
-				Core: core, Job: j.ID, Value: j.Processed, Aux: j.Demand})
+			r.d.Expire(j, now, now, core)
 			continue
 		}
 		j.Core = -1
 		j.State = job.StateWaiting
 		j.Requeues++
 		r.requeued++
-		r.wait.Push(j)
-		obs.Emit(r.obs, obs.Event{Time: now, Type: obs.EventJobRequeue,
+		r.d.wait.Push(j)
+		obs.Emit(r.d.obs, obs.Event{Time: now, Type: obs.EventJobRequeue,
 			Core: core, Job: j.ID, Value: j.Remaining()})
-	}
-}
-
-// invoke runs the policy and refreshes per-core idle events. While the
-// machine is degraded (failed cores or a capped budget), admission control
-// sheds unservable waiting jobs first so the policy plans a feasible load.
-func (r *Runner) invoke(now float64, trig Trigger) {
-	if r.cfg.Faults != nil && r.degraded() {
-		r.shedLoad(now)
-	}
-	obs.Emit(r.obs, obs.Event{Time: now, Type: obs.EventBatch, Core: -1, Job: -1,
-		Value: float64(r.wait.Len()), Aux: float64(trig)})
-	if trig == TriggerFault && r.decisions != nil {
-		// Every fault-triggered invocation replans DVFS under the new
-		// capacity (fewer cores, capped budget, or a stuck speed).
-		r.decisions.ObserveDecision(obs.Decision{Time: now, Kind: obs.DecisionReplan,
-			Machine: -1, Job: -1, Load: float64(r.wait.Len()),
-			Budget: r.server.Budget(), Action: "fault"})
-	}
-	sp := r.spans.Start("sched.invoke", obs.SpanSched, r.runSpanCtx)
-	sp.SetValue(float64(r.wait.Len()))
-	r.pctx = Context{
-		Now:         now,
-		Trigger:     trig,
-		Cfg:         &r.cfg,
-		Budget:      r.server.Budget(),
-		Server:      r.server,
-		Waiting:     &r.wait,
-		Monitor:     r.acc,
-		ArrivalRate: r.estimateRate(now),
-		Finalize:    r.finalizeFn,
-		Observer:    r.obs,
-		Modes:       r,
-	}
-	r.policy.Schedule(&r.pctx)
-	r.spans.Finish(sp)
-	r.refreshIdleEvents(now)
-}
-
-// degraded reports whether the machine is currently below its nominal
-// capacity: any core down or the budget capped.
-func (r *Runner) degraded() bool {
-	if r.server.Budget() < r.cfg.PowerBudget {
-		return true
-	}
-	return r.server.Healthy() < len(r.server.Cores)
-}
-
-// shedCandidate pairs a waiting job with its marginal quality for the
-// shedLoad ordering.
-type shedCandidate struct {
-	j        *job.Job
-	marginal float64
-}
-
-// shedLoad is the graceful-degradation admission control: when the
-// surviving cores under the current budget cannot sustain the aggregate
-// required processing rate, waiting jobs are dropped lowest marginal
-// quality first (quality mass gained per unit of processing rate consumed)
-// until the residual load fits. Only unassigned jobs are shed — work
-// already planned on a core is never revoked, preserving no-migration.
-func (r *Runner) shedLoad(now float64) {
-	waiting := r.wait.Peek()
-	if len(waiting) == 0 {
-		return
-	}
-	// Capacity: every healthy core running at its equal share of the
-	// current cap. This is the sustainable aggregate rate; WF can shift
-	// power between cores but not create more of it.
-	alive := r.server.Healthy()
-	capacity := 0.0
-	if alive > 0 {
-		share := r.server.Budget() / float64(alive)
-		for _, c := range r.server.Cores {
-			if c.Healthy() {
-				capacity += power.Rate(r.cfg.ModelFor(c.Index).Speed(share))
-			}
-		}
-	}
-	// Demand: the required rate of everything planned plus everything
-	// waiting, each job needing Remaining/Window units per second.
-	need := 0.0
-	rate := func(j *job.Job) float64 {
-		return RequiredRate(j.Remaining(), j.Deadline-now)
-	}
-	for _, c := range r.server.Cores {
-		for _, j := range c.Queue() {
-			need += rate(j)
-		}
-	}
-	for _, j := range waiting {
-		need += rate(j)
-	}
-	if need <= capacity {
-		return
-	}
-	// Shed lowest marginal quality first: the quality the job would add if
-	// fully served, per unit of required rate. Ties break by ID so equal
-	// runs shed identically. The candidate buffer is Runner-owned scratch
-	// so repeated degraded-mode triggers don't allocate.
-	cands := r.shedCands[:0]
-	for _, j := range waiting {
-		m := MarginalPerRate(r.cfg.Quality, j.Target, j.Remaining(), j.Deadline-now)
-		cands = append(cands, shedCandidate{j: j, marginal: m})
-	}
-	r.shedCands = cands
-	slices.SortStableFunc(cands, func(a, b shedCandidate) int {
-		return CompareShed(a.marginal, a.j.ID, b.marginal, b.j.ID)
-	})
-	for _, c := range cands {
-		if need <= capacity {
-			break
-		}
-		j := r.wait.PopJob(c.j)
-		if j == nil {
-			continue
-		}
-		if r.decisions != nil {
-			// Record the inputs the shed was decided on: aggregate demand
-			// vs. surviving capacity, this job's marginal quality, and how
-			// many candidates were in the running.
-			r.decisions.ObserveDecision(obs.Decision{Time: now, Kind: obs.DecisionShed,
-				Machine: -1, Job: j.ID, Load: need, Capacity: capacity,
-				Marginal: c.marginal, Budget: r.server.Budget(),
-				Alts: len(cands), Action: "shed"})
-		}
-		need -= rate(j)
-		j.State = job.StateFinalized
-		j.Finish = now
-		r.shed++
-		r.acc.Add(j.Processed, j.Demand)
-		obs.Emit(r.obs, obs.Event{Time: now, Type: obs.EventJobDrop,
-			Core: -1, Job: j.ID, Value: j.Processed, Aux: j.Demand})
-	}
-}
-
-// finalize records a finished or dropped job into the quality monitor.
-// CutJobs counts only deliberate cuts (target below demand, set by LF
-// cutting or Quality-OPT), not deadline truncation.
-func (r *Runner) finalize(j *job.Job, reason machine.Reason) {
-	r.acc.Add(j.Processed, j.Demand)
-	if j.Target < j.Demand-1e-9 {
-		r.cutJobs++
-	}
-	if reason == machine.ReasonCompleted {
-		r.responses = append(r.responses, j.Finish-j.Release)
-		obs.Emit(r.obs, obs.Event{Time: j.Finish, Type: obs.EventJobComplete,
-			Core: j.Core, Job: j.ID, Value: j.Processed, Aux: j.Finish - j.Release})
-	} else {
-		obs.Emit(r.obs, obs.Event{Time: j.Finish, Type: obs.EventJobExpire,
-			Core: j.Core, Job: j.ID, Value: j.Processed, Aux: j.Demand})
-	}
-}
-
-// expireWaiting finalizes queued jobs whose deadline has passed without
-// ever being assigned — pure quality loss.
-func (r *Runner) expireWaiting(now float64) {
-	for {
-		j := r.wait.PopExpired(now)
-		if j == nil {
-			return
-		}
-		j.State = job.StateFinalized
-		j.Finish = j.Deadline
-		r.queueExpired++
-		r.acc.Add(j.Processed, j.Demand)
-		obs.Emit(r.obs, obs.Event{Time: now, Type: obs.EventJobExpire,
-			Core: -1, Job: j.ID, Value: j.Processed, Aux: j.Demand})
 	}
 }
 
@@ -935,10 +705,10 @@ func (r *Runner) scheduleNextArrival() error {
 // finished reports whether the run can stop scheduling quantum ticks: no
 // future arrivals, nothing waiting, every core idle.
 func (r *Runner) finished() bool {
-	if !r.genDone || r.wait.Len() > 0 {
+	if !r.genDone || r.d.wait.Len() > 0 {
 		return false
 	}
-	for _, c := range r.server.Cores {
+	for _, c := range r.d.server.Cores {
 		if !c.Idle() {
 			return false
 		}
@@ -946,98 +716,8 @@ func (r *Runner) finished() bool {
 	return true
 }
 
-func (r *Runner) anyIdleCore() bool {
-	for _, c := range r.server.Cores {
-		if c.Idle() && c.Healthy() {
-			return true
-		}
-	}
-	return false
-}
-
-// refreshIdleEvents re-arms a KindCoreIdle event per busy core at its
-// projected drain time. Failed cores have no plan and get no events.
-func (r *Runner) refreshIdleEvents(now float64) {
-	for i, c := range r.server.Cores {
-		if id := r.idleEvents[i]; id != 0 {
-			r.engine.Cancel(id)
-			r.idleEvents[i] = 0
-		}
-		if c.Idle() || !c.Healthy() {
-			continue
-		}
-		at := c.ProjectedIdle(now)
-		if at < now {
-			at = now
-		}
-		// Tiny epsilon so the advance at the event time crosses the
-		// completion boundary.
-		id, err := r.engine.ScheduleCore(at+1e-9, sim.KindCoreIdle, i)
-		if err == nil {
-			r.idleEvents[i] = id
-		}
-	}
-}
-
-// noteArrival and estimateRate implement the sliding-window arrival-rate
-// estimator for the hybrid distribution's light/heavy decision.
-func (r *Runner) noteArrival(now float64) {
-	r.arrivalTimes = append(r.arrivalTimes, now)
-	r.trimWindow(now)
-}
-
-func (r *Runner) trimWindow(now float64) {
-	cutoff := now - r.cfg.RateWindow
-	i := 0
-	for i < len(r.arrivalTimes) && r.arrivalTimes[i] < cutoff {
-		i++
-	}
-	if i > 0 {
-		r.arrivalTimes = append(r.arrivalTimes[:0], r.arrivalTimes[i:]...)
-	}
-}
-
-func (r *Runner) estimateRate(now float64) float64 {
-	r.trimWindow(now)
-	window := math.Min(r.cfg.RateWindow, math.Max(now, 1e-3))
-	return float64(len(r.arrivalTimes)) / window
-}
-
-// RecordMode implements ModeSink.
-func (r *Runner) RecordMode(now float64, aes bool) { r.setMode(now, aes) }
-
-// setMode accumulates AES time and counts switches.
-func (r *Runner) setMode(now float64, aes bool) {
-	if r.modeSet {
-		if r.modeAES {
-			r.aesTime += now - r.modeSince
-		}
-		if aes != r.modeAES {
-			r.modeSwitches++
-			obs.Emit(r.obs, obs.Event{Time: now, Type: obs.EventModeSwitch,
-				Core: -1, Job: -1, Flag: aes})
-			if r.decisions != nil {
-				action := "bq"
-				if aes {
-					action = "aes"
-				}
-				r.decisions.ObserveDecision(obs.Decision{Time: now, Kind: obs.DecisionModeSwitch,
-					Machine: -1, Job: -1, Score: r.acc.Quality(),
-					Budget: r.server.Budget(), Action: action})
-			}
-		}
-	} else {
-		// Declare the initial mode so exporters can anchor their tracks.
-		obs.Emit(r.obs, obs.Event{Time: now, Type: obs.EventModeSwitch,
-			Core: -1, Job: -1, Flag: aes})
-	}
-	r.modeAES = aes
-	r.modeSet = true
-	r.modeSince = now
-}
-
 // Monitor exposes the quality accumulator for tests.
-func (r *Runner) Monitor() *quality.Accumulator { return r.acc }
+func (r *Runner) Monitor() *quality.Accumulator { return r.d.acc }
 
 // EventsProcessed reports how many kernel events the run delivered —
 // the numerator of the events/sec throughput metric in the benchmark
@@ -1045,10 +725,10 @@ func (r *Runner) Monitor() *quality.Accumulator { return r.acc }
 func (r *Runner) EventsProcessed() int64 { return r.engine.Processed }
 
 // Server exposes the machine for tests.
-func (r *Runner) Server() *machine.Server { return r.server }
+func (r *Runner) Server() *machine.Server { return r.d.server }
 
 // SpeedVarianceOverall returns the total (incl. idle) speed variance —
 // used by the Fig. 6 ablation alongside the busy-only variance.
 func (r *Runner) SpeedVarianceOverall() stats.TimeWeighted {
-	return r.server.TotalSpeedProfile()
+	return r.d.server.TotalSpeedProfile()
 }
