@@ -11,8 +11,9 @@ import (
 // reachability (up and not partitioned) plus cheap load signals, cached at
 // barriers and adjusted as jobs are routed, so reads cost O(1) and never
 // advance a machine. Health-aware policies read reachability, queued work
-// and idle cores; the omniscient ideal baseline additionally reads the true
-// capacity, including degradations a real dispatcher could not observe.
+// and idle cores; only the omniscient ideal baseline, through BestDrain,
+// weighs queued work against true capacity, including degradations a real
+// dispatcher could not observe.
 //
 // Two indexes keep every pick path sublinear: the eligible machines in
 // swap-remove order, maintained on fault transitions, so sampling policies
@@ -59,11 +60,6 @@ func (v *View) QueuedWork(m int) float64 { return v.queued[m] }
 // claimed by a job routed to it.
 func (v *View) HasIdleCore(m int) bool { return v.idle[m] > 0 }
 
-// Capacity returns machine m's sustainable processing rate under its
-// current (possibly degraded) power budget — omniscient information
-// reserved for the ideal baseline.
-func (v *View) Capacity(m int) float64 { return v.capacity[m] }
-
 // EligibleCount returns the number of eligible machines.
 func (v *View) EligibleCount() int { return len(v.elig) }
 
@@ -72,8 +68,8 @@ func (v *View) EligibleCount() int { return len(v.elig) }
 func (v *View) EligibleAt(rank int) int { return v.elig[rank] }
 
 // BestDrain returns the eligible machine with the minimum
-// queued-work/capacity score (ties to the lower index), or ok=false when
-// none is eligible.
+// queued-work/capacity score (ties to the lower index; a machine with no
+// capacity scores as never draining), or ok=false when none is eligible.
 func (v *View) BestDrain() (m int, score float64, ok bool) {
 	if v.drain == nil {
 		v.drain = newDrainHeap(len(v.queued))

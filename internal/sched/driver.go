@@ -225,13 +225,13 @@ func (d *Driver) Invoke(now float64, trig Trigger) error {
 	if _, err := d.Settle(now); err != nil {
 		return err
 	}
-	faulty := d.cfg.Faults != nil
-	if faulty && d.degraded() {
+	coreFaults := d.cfg.Faults != nil
+	if coreFaults && d.degraded() {
 		d.shedLoad(now)
 	}
 	obs.Emit(d.obs, obs.Event{Time: now, Type: obs.EventBatch, Core: -1, Job: -1,
 		Value: float64(d.wait.Len()), Aux: float64(trig)})
-	if faulty && trig == TriggerFault && d.decisions != nil {
+	if coreFaults && trig == TriggerFault && d.decisions != nil {
 		// Every fault-triggered invocation replans DVFS under the new
 		// capacity (fewer cores, capped budget, or a stuck speed).
 		d.decisions.ObserveDecision(obs.Decision{Time: now, Kind: obs.DecisionReplan,
@@ -246,7 +246,7 @@ func (d *Driver) Invoke(now float64, trig Trigger) error {
 		Server:      d.server,
 		Waiting:     &d.wait,
 		Monitor:     d.acc,
-		ArrivalRate: d.ArrivalRate(now),
+		ArrivalRate: d.arrivalRate(now),
 		Finalize:    d.finalizeFn,
 		Observer:    d.obs,
 		driver:      d,
@@ -267,9 +267,9 @@ func (d *Driver) IdleCores() int {
 	return n
 }
 
-// ArrivalRate is the sliding-window estimate of the request rate (req/s)
+// arrivalRate is the sliding-window estimate of the request rate (req/s)
 // the hybrid power distribution keys on.
-func (d *Driver) ArrivalRate(now float64) float64 {
+func (d *Driver) arrivalRate(now float64) float64 {
 	d.trimWindow(now)
 	window := math.Min(d.cfg.RateWindow, math.Max(now, 1e-3))
 	return float64(len(d.arrivals)) / window

@@ -584,7 +584,7 @@ func (r *Runner) apply(e *sim.Event) error {
 			// it later, but the record of what the policy saw at admit time
 			// is what counterfactual replay needs.
 			r.d.decisions.ObserveDecision(obs.Decision{Time: now, Kind: obs.DecisionAdmit,
-				Machine: -1, Job: j.ID, Load: r.d.ArrivalRate(now),
+				Machine: -1, Job: j.ID, Load: r.d.arrivalRate(now),
 				Budget: server.Budget(), Alts: r.d.wait.Len(), Action: "queue"})
 		}
 		// Every job gets a deadline event so expiry is observed promptly.

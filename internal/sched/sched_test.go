@@ -546,19 +546,19 @@ func TestStressTinyWindows(t *testing.T) {
 func TestRateEstimator(t *testing.T) {
 	r, _ := NewRunner(Defaults(), NewFCFS(), shortSpec(100, 87))
 	// Empty window.
-	if got := r.d.ArrivalRate(0.5); got != 0 {
+	if got := r.d.arrivalRate(0.5); got != 0 {
 		t.Fatalf("empty estimator = %v", got)
 	}
 	// Feed arrivals at a known rate: 20 arrivals over 2 s → 10/s.
 	for i := 0; i < 20; i++ {
 		r.d.noteArrival(float64(i) * 0.1)
 	}
-	got := r.d.ArrivalRate(2.0)
+	got := r.d.arrivalRate(2.0)
 	if math.Abs(got-10) > 1.5 {
 		t.Fatalf("estimated rate = %v, want ~10", got)
 	}
 	// Old arrivals age out of the window.
-	got = r.d.ArrivalRate(100)
+	got = r.d.arrivalRate(100)
 	if got != 0 {
 		t.Fatalf("stale arrivals not trimmed: %v", got)
 	}
