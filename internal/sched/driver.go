@@ -45,7 +45,8 @@ type Driver struct {
 
 	// fin buffers one record per job that left the machine, in
 	// finalization order, until the owner drains it. finStore backs the
-	// first few so a per-event drain never allocates.
+	// first eight, so an owner that drains after every event (Runner)
+	// allocates nothing for them.
 	fin      []Final
 	finStore [8]Final
 
