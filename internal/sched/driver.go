@@ -38,8 +38,11 @@ type Driver struct {
 	obs       obs.Observer
 	decisions obs.DecisionSink
 
-	// arrivals holds the arrival times inside the rate window, oldest first.
-	arrivals []float64
+	// arrivals is a ring buffer of the arrival times inside the rate
+	// window: arrivalLen of them, oldest at arrivalHead.
+	arrivals    []float64
+	arrivalHead int
+	arrivalLen  int
 	// idle holds one armed KindCoreIdle wakeup per core (id 0 = none).
 	idle []idleSlot
 
@@ -273,22 +276,30 @@ func (d *Driver) IdleCores() int {
 func (d *Driver) arrivalRate(now float64) float64 {
 	d.trimWindow(now)
 	window := math.Min(d.cfg.RateWindow, math.Max(now, 1e-3))
-	return float64(len(d.arrivals)) / window
+	return float64(d.arrivalLen) / window
 }
 
+// noteArrival records an arrival at now. The ring doubles only when the
+// live window fills it, so an arrival costs O(1) amortized and the buffer
+// never holds more than twice the largest window seen.
 func (d *Driver) noteArrival(now float64) {
-	d.arrivals = append(d.arrivals, now)
 	d.trimWindow(now)
+	if d.arrivalLen == len(d.arrivals) {
+		grown := make([]float64, max(8, 2*len(d.arrivals)))
+		n := copy(grown, d.arrivals[d.arrivalHead:])
+		copy(grown[n:], d.arrivals[:d.arrivalHead])
+		d.arrivals, d.arrivalHead = grown, 0
+	}
+	d.arrivals[(d.arrivalHead+d.arrivalLen)%len(d.arrivals)] = now
+	d.arrivalLen++
 }
 
+// trimWindow drops the arrivals older than the window from the ring.
 func (d *Driver) trimWindow(now float64) {
 	cutoff := now - d.cfg.RateWindow
-	i := 0
-	for i < len(d.arrivals) && d.arrivals[i] < cutoff {
-		i++
-	}
-	if i > 0 {
-		d.arrivals = append(d.arrivals[:0], d.arrivals[i:]...)
+	for d.arrivalLen > 0 && d.arrivals[d.arrivalHead] < cutoff {
+		d.arrivalHead = (d.arrivalHead + 1) % len(d.arrivals)
+		d.arrivalLen--
 	}
 }
 

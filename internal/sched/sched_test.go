@@ -7,6 +7,7 @@ import (
 	"goodenough/internal/job"
 	"goodenough/internal/machine"
 	"goodenough/internal/power"
+	"goodenough/internal/rng"
 	"goodenough/internal/workload"
 )
 
@@ -561,6 +562,55 @@ func TestRateEstimator(t *testing.T) {
 	got = r.d.arrivalRate(100)
 	if got != 0 {
 		t.Fatalf("stale arrivals not trimmed: %v", got)
+	}
+}
+
+// TestRateWindowMatchesRecount drives the rate window with a long random
+// arrival stream — a rate ramping from 50 to 550 req/s, bursts, quiet gaps
+// longer than the window, and queries between arrivals — and checks every
+// estimate against a naive recount. Times sit on a 1/1024 s grid, so many
+// arrivals lie exactly on a query's window boundary.
+func TestRateWindowMatchesRecount(t *testing.T) {
+	r, _ := NewRunner(Defaults(), NewFCFS(), shortSpec(100, 87))
+	d := r.d
+	src := rng.New(17)
+	var all []float64
+	now, maxLive := 0.0, 0
+	recount := func() int {
+		n := 0
+		for k := len(all) - 1; k >= 0 && all[k] >= now-d.cfg.RateWindow; k-- {
+			n++
+		}
+		return n
+	}
+	for i := 0; i < 50000; i++ {
+		switch k := src.Intn(5000); {
+		case k == 0:
+			now += 2.5 * src.Float64() * d.cfg.RateWindow // quiet gap
+		case k < 200:
+			// burst at one instant
+		default:
+			now += src.Exp(50 + float64(i)/100)
+		}
+		now = math.Ceil(now*1024) / 1024
+		if src.Intn(4) == 0 {
+			now = math.Ceil((now+src.Exp(1000))*1024) / 1024
+			want := float64(recount()) / math.Min(d.cfg.RateWindow, math.Max(now, 1e-3))
+			if got := d.arrivalRate(now); got != want {
+				t.Fatalf("step %d at t=%v: arrivalRate = %v, recount = %v", i, now, got, want)
+			}
+			continue
+		}
+		d.noteArrival(now)
+		all = append(all, now)
+		// The ring doubles only when the window fills it.
+		maxLive = max(maxLive, recount())
+		if n := len(d.arrivals); n > 8 && maxLive <= n/2 {
+			t.Fatalf("step %d: window buffer holds %d entries; the largest window was %d", i, n, maxLive)
+		}
+	}
+	if maxLive < 500 {
+		t.Fatalf("largest window %d: the stream never filled a large window", maxLive)
 	}
 }
 
