@@ -418,7 +418,7 @@ func (g *GE) Schedule(ctx *sched.Context) {
 		// golden trace.
 		if yds.PeakSpeedEDF(now, edf) > speedCap*(1+1e-9) {
 			before := g.snapTargets(ctx, jobs)
-			_, sc.budgets = qopt.AllocateEDF(now, edf, power.Rate(speedCap), cfg.Quality, sc.budgets)
+			_, sc.budgets = qopt.AllocateEDF(now, edf, power.Rate(speedCap), sc.budgets)
 			emitCuts(ctx, now, jobs, before)
 		}
 		if cfg.Ladder != nil {
