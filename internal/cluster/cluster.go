@@ -13,11 +13,13 @@
 //
 // Execution is sharded (shard.go): machines are partitioned across K shards,
 // each owning a private event heap that advances its machines independently
-// between global barriers (quantum ticks, machine faults, run end). Only
-// machines with due events are ever touched — a quiescent node costs zero —
-// which replaces the old advance-everyone-on-every-event sync scan. Shard
-// outputs are buffered per machine and merged in machine-index order at each
-// barrier, so the observable streams do not depend on K.
+// between global barriers (quantum ticks, machine faults, run end). Between
+// barriers only machines with due events are touched, and a machine's cores
+// advance only where a decision reads them; at each barrier every machine is
+// settled to the barrier instant, so the dispatcher's view reads the whole
+// fleet as of that instant. Shard outputs are buffered per machine and
+// merged in machine-index order at each barrier, so the observable streams
+// do not depend on K.
 package cluster
 
 import (
@@ -240,30 +242,31 @@ type node struct {
 	dirty    bool
 }
 
-// catchUp settles a machine to the present before anything lands on it — a
-// policy invocation, a pushed job, a fault transition — so no work ever
-// executes against a stale clock. Per-machine touch times are non-decreasing
-// (shard heaps deliver in time order, and barriers only move clocks
-// forward), so a node already at the present was settled at this instant.
-func (n *node) catchUp(now float64) error {
+// settle brings a machine to now at a barrier, so the dispatcher's view,
+// the barrier's caller and the flush read it as of the barrier instant.
+// Settling is idempotent at an instant: a machine already at now is left
+// alone.
+func (n *node) settle(now float64) error {
 	moved, err := n.d.Settle(now)
 	if moved {
 		n.dirty = true
 	}
-	if err != nil {
-		return fmt.Errorf("cluster: machine %d: %w", n.idx, err)
-	}
-	return nil
+	return n.fail(err)
 }
 
 // invoke runs the machine's policy at now. Safe from a shard worker
 // (everything it touches is node-local).
 func (n *node) invoke(now float64, trig sched.Trigger) error {
-	if err := n.catchUp(now); err != nil {
-		return err
-	}
 	n.dirty = true
-	return n.d.Invoke(now, trig)
+	return n.fail(n.d.Invoke(now, trig))
+}
+
+// fail tags a driver error with the machine it came from.
+func (n *node) fail(err error) error {
+	if err != nil {
+		return fmt.Errorf("cluster: machine %d: %w", n.idx, err)
+	}
+	return nil
 }
 
 // nodeObserver buffers one machine's event emissions into its epoch buffer,
@@ -441,13 +444,16 @@ func (f *Fleet) Run() (Result, error) {
 	if err := f.global.Run(); err != nil {
 		return Result{}, err
 	}
-	// Trailing shard events: deadlines past the last global event are
+	// Trailing shard events: wakeups past the last global event are
 	// delivered so expiry accounting and the simulated span match the
-	// shared-heap semantics exactly.
+	// shared-heap semantics exactly. The end of the run is then a last
+	// barrier that settles every machine to the simulated span.
 	if err := f.shardPhase(math.Inf(1)); err != nil {
 		return Result{}, err
 	}
-	f.flush()
+	if err := f.barrier(f.simTime()); err != nil {
+		return Result{}, err
+	}
 	return f.result(), nil
 }
 
@@ -470,7 +476,7 @@ func (f *Fleet) handle(e *sim.Event) error {
 
 	case sim.KindDeadline:
 		// Parked-job deadline watch; machine-held jobs expire on their
-		// shard's deadline events.
+		// machine's expiry wakeup.
 		f.expirePending(now)
 
 	case sim.KindQuantum:
@@ -583,9 +589,9 @@ func (f *Fleet) dispatch(j *job.Job, now float64, redisp bool) error {
 	return nil
 }
 
-// sendJob hands a routed job to the target machine's shard (push event at
-// now, deadline watch at the job's deadline) and adjusts the cached view so
-// subsequent picks this epoch see the routed load.
+// sendJob hands a routed job to the target machine's shard (a push event at
+// now) and adjusts the cached view so subsequent picks this epoch see the
+// routed load.
 func (f *Fleet) sendJob(n *node, j *job.Job, now float64) error {
 	if err := n.shard.push(now, n, j); err != nil {
 		return err
@@ -620,13 +626,9 @@ func (f *Fleet) redispatch(j *job.Job, now float64) error {
 }
 
 // applyMachineFault transitions one machine's health state. Runs at a
-// barrier: every shard has drained to now, so the machine's live state is
-// exact.
+// barrier: every machine is settled to now, so its live state is exact.
 func (f *Fleet) applyMachineFault(now float64, fe faults.MachineEvent) error {
 	n := f.nodes[fe.Machine]
-	if err := n.catchUp(now); err != nil {
-		return err
-	}
 	server := n.d.Server()
 	switch fe.Kind {
 	case faults.MachineCrash:
@@ -662,7 +664,7 @@ func (f *Fleet) applyMachineFault(now float64, fe faults.MachineEvent) error {
 		}
 		// Stranded waiting jobs: never started, but the machine holding
 		// them is gone; they re-route with the same retry accounting.
-		f.drained = n.d.Waiting().AppendDrain(f.drained[:0])
+		f.drained = n.d.DrainWaiting(f.drained[:0])
 		for _, j := range f.drained {
 			if j.Expired(now) {
 				n.d.Expire(j, j.Deadline, now, -1)
@@ -796,14 +798,18 @@ func (f *Fleet) finished() bool {
 	return f.genDone && f.pending.Len() == 0 && f.finalized == f.jobs
 }
 
+// simTime is the simulated span: the last event delivered on any heap.
+func (f *Fleet) simTime() float64 {
+	t := f.global.Now()
+	for _, s := range f.shards {
+		t = max(t, s.engine.Now())
+	}
+	return t
+}
+
 // result assembles the fleet summary after the event queues drain.
 func (f *Fleet) result() Result {
-	simTime := f.global.Now()
-	for _, s := range f.shards {
-		if t := s.engine.Now(); t > simTime {
-			simTime = t
-		}
-	}
+	simTime := f.simTime()
 	res := Result{
 		Dispatch:       f.cfg.Dispatch.Name(),
 		Scheduler:      f.nodes[0].d.Policy().Name(),

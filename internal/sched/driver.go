@@ -16,10 +16,17 @@ import (
 // engine it shares with its owner. It holds everything a machine needs
 // between triggers: the server, the waiting queue, the policy and its reused
 // Context, the quality monitor, the arrival-rate window, one armed idle
-// wakeup per core, AES/BQ mode and energy accounting, and the records of
-// jobs that left the machine. The owner delivers the events — Runner on its
-// own engine for a single-machine run, the fleet on a shard engine per
-// machine — and drains the finalization records.
+// wakeup per core, one armed expiry wakeup for the waiting queue, AES/BQ
+// mode and energy accounting, and the records of jobs that left the
+// machine. The owner delivers the events — Runner on its own engine for a
+// single-machine run, the fleet on a shard engine per machine — and drains
+// the finalization records.
+//
+// The machine is settled (its cores advanced to the present) only where its
+// state is read: a policy invocation, an idle wakeup, and whatever the owner
+// settles for itself (a fault, a fleet barrier, the end of a run). An
+// arrival that cannot fire a trigger, and an expiry wakeup, touch only the
+// waiting queue.
 type Driver struct {
 	cfg    *Config
 	index  int // stamped on decisions and idle events: -1 for a single machine
@@ -44,7 +51,10 @@ type Driver struct {
 	arrivalHead int
 	arrivalLen  int
 	// idle holds one armed KindCoreIdle wakeup per core (id 0 = none).
-	idle []idleSlot
+	idle []wakeup
+	// expiry is the one armed KindDeadline wakeup, at the earliest deadline
+	// in the waiting queue; it is armed exactly when the queue is non-empty.
+	expiry wakeup
 
 	// fin buffers one record per job that left the machine, in
 	// finalization order, until the owner drains it. finStore backs the
@@ -69,11 +79,16 @@ type Driver struct {
 	bqEnergy     float64
 }
 
-// idleSlot is one core's armed idle wakeup and the time it is armed for.
-type idleSlot struct {
+// wakeup is one armed event and the time it is armed for (id 0 = none).
+type wakeup struct {
 	id sim.EventID
 	at float64
 }
+
+// rearmEpsilon is how far past a core's projected drain its idle wakeup is
+// armed, so the advance at the wakeup crosses the drain. An arrival within
+// it of a wakeup may find the core already drained.
+const rearmEpsilon = 1e-9
 
 // Final records one job leaving the machine: completed, expired, or shed.
 type Final struct {
@@ -127,7 +142,7 @@ func (d *Driver) init(cfg *Config, policy Policy, index int, engine *sim.Engine)
 	d.server = server
 	d.policy = policy
 	d.acc = quality.NewAccumulator(cfg.Quality)
-	d.idle = make([]idleSlot, cfg.Cores)
+	d.idle = make([]wakeup, cfg.Cores)
 	d.fin = d.finStore[:0]
 	d.finalizeFn = d.finalize
 	return nil
@@ -147,7 +162,9 @@ func (d *Driver) SetDecisionSink(s obs.DecisionSink) { d.decisions = s }
 // Server returns the machine.
 func (d *Driver) Server() *machine.Server { return d.server }
 
-// Waiting returns the queue of arrived, unassigned jobs.
+// Waiting returns the queue of arrived, unassigned jobs, for reading. Jobs
+// enter through Enqueue and leave in bulk through DrainWaiting, which keep
+// the expiry wakeup armed at the earliest deadline.
 func (d *Driver) Waiting() *job.FIFO { return &d.wait }
 
 // Policy returns the scheduling policy.
@@ -180,25 +197,31 @@ func (d *Driver) Settle(now float64) (bool, error) {
 		}
 		d.lastEnergy = d.server.Energy()
 	}
-	for {
-		j := d.wait.PopExpired(now)
-		if j == nil {
-			return true, nil
-		}
-		d.Expire(j, j.Deadline, now, -1)
-	}
+	return true, d.expireWaiting(now)
 }
 
-// Enqueue queues an arrived job and counts it in the rate window.
-func (d *Driver) Enqueue(now float64, j *job.Job) {
-	d.wait.Push(j)
+// Enqueue queues an arrived job and counts it in the rate window. Waiting
+// jobs due by now expire first; the cores are left alone.
+func (d *Driver) Enqueue(now float64, j *job.Job) error {
+	if err := d.expireWaiting(now); err != nil {
+		return err
+	}
 	d.noteArrival(now)
+	return d.push(j)
 }
 
 // OnArrival fires the trigger an arrival causes: counter when the waiting
 // queue reached its threshold, else idle-core when a healthy core is idle
-// (the core is idle when the job arrives).
+// (the core is idle when the job arrives). The machine is settled only when
+// one of them may fire; otherwise the arrival leaves the cores where they
+// were.
 func (d *Driver) OnArrival(now float64) error {
+	if !d.mayTrigger(now) {
+		return nil
+	}
+	if _, err := d.Settle(now); err != nil {
+		return err
+	}
 	if d.wait.Len() >= d.cfg.CounterTrigger {
 		return d.Invoke(now, TriggerCounter)
 	}
@@ -206,6 +229,35 @@ func (d *Driver) OnArrival(now float64) error {
 		return d.Invoke(now, TriggerIdleCore)
 	}
 	return nil
+}
+
+// mayTrigger reports whether an arrival at now may fire a trigger without
+// advancing the cores: the counter threshold is reached, or some healthy
+// core is idle, has no armed wakeup, or has its wakeup due within
+// rearmEpsilon of now (it may have drained already). Any other healthy core
+// is busy until its wakeup, which lies in the future.
+func (d *Driver) mayTrigger(now float64) bool {
+	if d.wait.Len() >= d.cfg.CounterTrigger {
+		return true
+	}
+	for i, c := range d.server.Cores {
+		if !c.Healthy() {
+			continue
+		}
+		if w := d.idle[i]; c.Idle() || w.id == 0 || w.at <= now+rearmEpsilon {
+			return true
+		}
+	}
+	return false
+}
+
+// OnDeadline handles the driver's KindDeadline wakeup: the wakeup is spent,
+// the waiting jobs due by now expire, and it re-arms at the next earliest
+// deadline. The cores are left alone.
+func (d *Driver) OnDeadline(now float64) error {
+	d.popExpired(now)
+	d.expiry.id = 0
+	return d.armExpiry(d.earliestDeadline())
 }
 
 // Wake handles core's KindCoreIdle event: the wakeup is spent, and a core
@@ -221,10 +273,10 @@ func (d *Driver) Wake(now float64, core int) (bool, error) {
 	return true, d.Invoke(now, TriggerIdleCore)
 }
 
-// Invoke settles the machine and runs the policy, then re-arms the idle
-// wakeups. Under a core fault schedule, a degraded machine first sheds the
-// waiting jobs its surviving capacity cannot carry, and a fault trigger is
-// recorded as a replan decision.
+// Invoke settles the machine and runs the policy, then re-arms the idle and
+// expiry wakeups. Under a core fault schedule, a degraded machine first
+// sheds the waiting jobs its surviving capacity cannot carry, and a fault
+// trigger is recorded as a replan decision.
 func (d *Driver) Invoke(now float64, trig Trigger) error {
 	if _, err := d.Settle(now); err != nil {
 		return err
@@ -257,7 +309,7 @@ func (d *Driver) Invoke(now float64, trig Trigger) error {
 	}
 	d.policy.Schedule(&d.pctx)
 	d.rearmIdle(now)
-	return nil
+	return d.armExpiry(d.earliestDeadline())
 }
 
 // IdleCores counts the healthy cores with nothing planned.
@@ -303,9 +355,9 @@ func (d *Driver) trimWindow(now float64) {
 	}
 }
 
-// rearmIdle arms one KindCoreIdle wakeup per busy healthy core at its
-// projected drain time. A wakeup whose projected time is unchanged stays
-// armed, so replanning one core does not churn the others' events.
+// rearmIdle arms one KindCoreIdle wakeup per busy healthy core, rearmEpsilon
+// past its projected drain time. A wakeup whose projected time is unchanged
+// stays armed, so replanning one core does not churn the others' events.
 func (d *Driver) rearmIdle(now float64) {
 	for i, c := range d.server.Cores {
 		if c.Idle() || !c.Healthy() {
@@ -316,8 +368,7 @@ func (d *Driver) rearmIdle(now float64) {
 		if at < now {
 			at = now
 		}
-		// The epsilon makes the advance at the wakeup cross the drain.
-		at += 1e-9
+		at += rearmEpsilon
 		slot := &d.idle[i]
 		if slot.id != 0 {
 			if slot.at == at {
@@ -326,7 +377,7 @@ func (d *Driver) rearmIdle(now float64) {
 			d.disarm(i)
 		}
 		if id, err := d.engine.ScheduleCoreRef(at, sim.KindCoreIdle, i, d.index); err == nil {
-			*slot = idleSlot{id: id, at: at}
+			*slot = wakeup{id: id, at: at}
 		}
 	}
 }
@@ -336,6 +387,79 @@ func (d *Driver) disarm(core int) {
 		d.engine.Cancel(id)
 		d.idle[core].id = 0
 	}
+}
+
+// push queues j and arms the expiry wakeup at its deadline if that is now
+// the earliest.
+func (d *Driver) push(j *job.Job) error {
+	d.wait.Push(j)
+	if d.expiry.id != 0 && d.expiry.at <= j.Deadline {
+		return nil
+	}
+	return d.armExpiry(j.Deadline)
+}
+
+// expireWaiting expires the waiting jobs due by now. The armed expiry
+// wakeup says whether any is, so a queue with none due is not scanned.
+func (d *Driver) expireWaiting(now float64) error {
+	if d.expiry.id == 0 || d.expiry.at > now {
+		return nil
+	}
+	d.popExpired(now)
+	return d.armExpiry(d.earliestDeadline())
+}
+
+// popExpired finalizes every waiting job whose deadline has passed at now.
+func (d *Driver) popExpired(now float64) {
+	for {
+		j := d.wait.PopExpired(now)
+		if j == nil {
+			return
+		}
+		d.Expire(j, j.Deadline, now, -1)
+	}
+}
+
+// earliestDeadline returns the earliest deadline in the waiting queue, or
+// +Inf when it is empty.
+func (d *Driver) earliestDeadline() float64 {
+	at := math.Inf(1)
+	for _, j := range d.wait.Peek() {
+		if j.Deadline < at {
+			at = j.Deadline
+		}
+	}
+	return at
+}
+
+// armExpiry arms the expiry wakeup at at, keeping an armed wakeup that is
+// already there; +Inf disarms it.
+func (d *Driver) armExpiry(at float64) error {
+	w := &d.expiry
+	if w.id != 0 {
+		if w.at == at {
+			return nil
+		}
+		d.engine.Cancel(w.id)
+		w.id = 0
+	}
+	if math.IsInf(at, 1) {
+		return nil
+	}
+	id, err := d.engine.ScheduleCoreRef(at, sim.KindDeadline, -1, d.index)
+	if err != nil {
+		return err
+	}
+	*w = wakeup{id: id, at: at}
+	return nil
+}
+
+// DrainWaiting appends every waiting job to dst in arrival order, empties
+// the queue and disarms the expiry wakeup.
+func (d *Driver) DrainWaiting(dst []*job.Job) []*job.Job {
+	d.engine.Cancel(d.expiry.id)
+	d.expiry.id = 0
+	return d.wait.AppendDrain(dst)
 }
 
 // FailCore halts one core at now and disarms its wakeup, returning the

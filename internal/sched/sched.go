@@ -14,10 +14,13 @@
 //     past their 150 ms deadlines);
 //   - counter triggering: the waiting queue reaches a threshold (default 8).
 //
-// Before every event the driver settles the machine to the current time
-// (finalizing completed and expired jobs into the quality monitor) and
-// drops expired jobs from the waiting queue; on every trigger it invokes
-// the policy.
+// The driver settles the machine — advances its cores to the current time,
+// finalizing completed and expired jobs into the quality monitor — only
+// where its state is read: a policy invocation, an idle-core wakeup, a
+// fault, a fleet barrier, and the end of a run. An arrival that can fire no
+// trigger only queues the job, and one expiry wakeup per machine, armed at
+// the earliest deadline in the waiting queue, expires waiting jobs on time.
+// On every trigger the driver invokes the policy.
 package sched
 
 import (
@@ -343,8 +346,8 @@ func (r *Runner) SetObserver(o obs.Observer) {
 }
 
 // SetTimeline attaches a recorder that samples quality, power, load, and
-// mode at every delivered event (thinned by the timeline's own interval).
-// Call before Run.
+// mode after every event that left the machine settled at its instant
+// (thinned by the timeline's own interval). Call before Run.
 func (r *Runner) SetTimeline(t *metrics.Timeline) { r.timeline = t }
 
 // SetDecisionSink attaches a sink for structured decision records —
@@ -480,7 +483,14 @@ func (r *Runner) Run() (Result, error) {
 		// report the partial run rather than discarding it.
 		cancelReason = err.Error()
 	}
+	// The end of the run reads the machine: settle it to the last event.
 	simTime := r.engine.Now()
+	if _, err := r.d.Settle(simTime); err != nil {
+		runSpan.SetNote("error")
+		r.spans.Finish(runSpan)
+		return Result{}, err
+	}
+	r.drainFinals()
 	r.d.CloseMode(simTime)
 	obs.Emit(r.d.obs, obs.Event{Time: simTime, Type: obs.EventRunEnd,
 		Core: -1, Job: -1, Value: simTime})
@@ -546,28 +556,34 @@ func simFaultKind(k faults.Kind) (sim.Kind, bool) {
 	}
 }
 
-// handle is the event dispatcher. Every event first settles the machine to
-// its instant; the finalization records it produced are drained afterwards,
-// so the buffer never outgrows one event's worth.
+// handle is the event dispatcher. The finalization records an event
+// produced are drained after it, so the buffer never outgrows one event's
+// worth, and the timeline samples the machine after each event that left it
+// settled at the event's instant.
 func (r *Runner) handle(e *sim.Event) error {
-	now := e.Time
-	if _, err := r.d.Settle(now); err != nil {
-		return err
-	}
 	if err := r.apply(e); err != nil {
 		return err
 	}
+	r.drainFinals()
+	if r.d.server.Now() == e.Time {
+		r.recordSample(e.Time)
+	}
+	return nil
+}
+
+// drainFinals records the response times of the jobs completed since the
+// last drain and empties the driver's finalization buffer.
+func (r *Runner) drainFinals() {
 	for _, f := range r.d.Finals() {
 		if f.Completed {
 			r.responses = append(r.responses, f.Job.Finish-f.Job.Release)
 		}
 	}
 	r.d.ClearFinals()
-	r.recordSample(now)
-	return nil
 }
 
-// apply carries out one event on the settled machine.
+// apply carries out one event. Only the events that read the machine
+// settle it: a policy invocation, an idle wakeup, a fault.
 func (r *Runner) apply(e *sim.Event) error {
 	now := e.Time
 	server := r.d.server
@@ -575,7 +591,9 @@ func (r *Runner) apply(e *sim.Event) error {
 	case sim.KindArrival:
 		j := r.nextArrival
 		r.nextArrival = nil
-		r.d.Enqueue(now, j)
+		if err := r.d.Enqueue(now, j); err != nil {
+			return err
+		}
 		r.jobs++
 		obs.Emit(r.d.obs, obs.Event{Time: now, Type: obs.EventJobArrive,
 			Core: -1, Job: j.ID, Value: j.Demand, Aux: j.Deadline})
@@ -586,10 +604,6 @@ func (r *Runner) apply(e *sim.Event) error {
 			r.d.decisions.ObserveDecision(obs.Decision{Time: now, Kind: obs.DecisionAdmit,
 				Machine: -1, Job: j.ID, Load: r.d.arrivalRate(now),
 				Budget: server.Budget(), Alts: r.d.wait.Len(), Action: "queue"})
-		}
-		// Every job gets a deadline event so expiry is observed promptly.
-		if _, err := r.engine.Schedule(j.Deadline, sim.KindDeadline); err != nil {
-			return err
 		}
 		if err := r.scheduleNextArrival(); err != nil {
 			return err
@@ -611,19 +625,23 @@ func (r *Runner) apply(e *sim.Event) error {
 		return err
 
 	case sim.KindDeadline:
-		// Settling already finalized whatever was due; nothing further.
-		// The event exists to make expiry timely.
+		return r.d.OnDeadline(now)
 
 	case sim.KindCoreFail, sim.KindCoreRecover, sim.KindBudgetChange,
 		sim.KindSpeedStuck, sim.KindSpeedFree:
-		r.applyFault(now, r.faultEvents[e.Ref])
+		if _, err := r.d.Settle(now); err != nil {
+			return err
+		}
+		if err := r.applyFault(now, r.faultEvents[e.Ref]); err != nil {
+			return err
+		}
 		return r.d.Invoke(now, TriggerFault)
 	}
 	return nil
 }
 
-// applyFault carries out one scheduled fault event on the machine.
-func (r *Runner) applyFault(now float64, fe faults.Event) {
+// applyFault carries out one scheduled fault event on the settled machine.
+func (r *Runner) applyFault(now float64, fe faults.Event) error {
 	server := r.d.server
 	fev := fe.Obs()
 	if fe.Kind == faults.BudgetRestore {
@@ -636,7 +654,7 @@ func (r *Runner) applyFault(now float64, fe faults.Event) {
 	}
 	switch fe.Kind {
 	case faults.CoreFail:
-		r.failCore(now, fe.Core)
+		return r.failCore(now, fe.Core)
 	case faults.CoreRecover:
 		if core != nil {
 			core.Recover(now)
@@ -654,6 +672,7 @@ func (r *Runner) applyFault(now float64, fe faults.Event) {
 			core.SetStuck(0)
 		}
 	}
+	return nil
 }
 
 // failCore halts a core and requeues its orphaned jobs — the one audited
@@ -661,9 +680,9 @@ func (r *Runner) applyFault(now float64, fe faults.Event) {
 // bumped so the invariant checker can verify that re-bindings happen only
 // at failure instants; orphans already past their deadline are finalized
 // instead of requeued.
-func (r *Runner) failCore(now float64, core int) {
+func (r *Runner) failCore(now float64, core int) error {
 	if core < 0 || core >= len(r.d.server.Cores) || !r.d.server.Cores[core].Healthy() {
-		return
+		return nil
 	}
 	for _, e := range r.d.FailCore(now, core) {
 		j := e.Job
@@ -676,10 +695,13 @@ func (r *Runner) failCore(now float64, core int) {
 		j.State = job.StateWaiting
 		j.Requeues++
 		r.requeued++
-		r.d.wait.Push(j)
+		if err := r.d.push(j); err != nil {
+			return err
+		}
 		obs.Emit(r.d.obs, obs.Event{Time: now, Type: obs.EventJobRequeue,
 			Core: core, Job: j.ID, Value: j.Remaining()})
 	}
+	return nil
 }
 
 func (r *Runner) scheduleNextArrival() error {

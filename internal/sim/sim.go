@@ -33,7 +33,10 @@ const (
 	KindQuantum
 	// KindCoreIdle fires when a core drains its local plan.
 	KindCoreIdle
-	// KindDeadline fires at a job's deadline so it can be finalized.
+	// KindDeadline is an expiry wakeup. A machine's driver keeps one armed
+	// at the earliest deadline in its waiting queue (Ref = machine index,
+	// -1 for a single machine), so waiting jobs expire on time; a fleet
+	// dispatcher arms one per job parked with no machine eligible.
 	KindDeadline
 	// KindEnd terminates the simulation.
 	KindEnd
