@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,13 +10,15 @@ import (
 	"goodenough/internal/faults"
 	"goodenough/internal/obs"
 	"goodenough/internal/sched"
+	"goodenough/internal/verify"
 	"goodenough/internal/workload"
 )
 
 // shardRun executes one fleet scenario — light load over six machines so
 // several sit quiescent between jobs, with a crash, a partition, and a
 // slowdown landing mid-run — at the given shard count, and returns the full
-// event stream, decision stream, and Result.
+// event stream, decision stream, and Result. Every node's policy runs under
+// an invariant checker, and the run fails on any violation.
 func shardRun(t *testing.T, shards int) ([]byte, []byte, Result) {
 	t.Helper()
 	node := sched.Defaults()
@@ -35,10 +38,11 @@ func shardRun(t *testing.T, shards int) ([]byte, []byte, Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var cks checkers
 	f, err := New(Config{
 		Machines:  6,
 		Node:      node,
-		NewPolicy: func() sched.Policy { return core.NewGE(node.QGE) },
+		NewPolicy: cks.newGE(node.QGE),
 		Dispatch:  disp,
 		Workload: workload.Spec{
 			ArrivalRate: 25,
@@ -67,7 +71,115 @@ func shardRun(t *testing.T, shards int) ([]byte, []byte, Result) {
 	if err := dl.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	cks.check(t, fmt.Sprintf("K=%d", shards))
 	return events.Bytes(), decisions.Bytes(), res
+}
+
+// checkers collects the invariant checkers wrapped around a fleet's node
+// policies, one per machine in machine order.
+type checkers []*verify.Checker
+
+// newGE returns a NewPolicy factory building checked GE policies.
+func (c *checkers) newGE(qge float64) func() sched.Policy {
+	return func() sched.Policy {
+		ck := verify.Wrap(core.NewGE(qge))
+		*c = append(*c, ck)
+		return ck
+	}
+}
+
+// check fails the test on any violation any machine's checker recorded.
+func (c checkers) check(t *testing.T, label string) {
+	t.Helper()
+	for m, ck := range c {
+		if !ck.Ok() {
+			t.Errorf("%s: machine %d violated %d invariants, first: %v",
+				label, m, len(ck.Violations()), ck.Violations()[0])
+		}
+	}
+}
+
+// barrierProbe observes a fleet run and checks, at every machine crash and
+// recovery, that every machine has been settled to the fault's barrier
+// instant. The fleet emits those events in the global phase, with every
+// shard parked, so reading the machines is race-free.
+type barrierProbe struct {
+	f      *Fleet
+	faults int
+	stale  []string
+}
+
+// Observe implements obs.Observer.
+func (p *barrierProbe) Observe(e obs.Event) {
+	if e.Type != obs.EventMachineDown && e.Type != obs.EventMachineUp {
+		return
+	}
+	p.faults++
+	for _, n := range p.f.nodes {
+		if now := n.d.Server().Now(); now != e.Time {
+			p.stale = append(p.stale, fmt.Sprintf("machine %d at %v, fault at %v", n.idx, now, e.Time))
+		}
+	}
+}
+
+// TestGeneratedChaosFleetUpholdsInvariants runs a 20-machine fleet at the
+// critical load through seeded crashes under rr, p2c and ideal, on two
+// shards. Every node's policy runs under an invariant checker, whose
+// settled rule holds the lazy settling to its contract: a policy always
+// sees its machine at the trigger instant. At every fault barrier, every
+// machine must sit at the barrier instant.
+func TestGeneratedChaosFleetUpholdsInvariants(t *testing.T) {
+	const machines = 20
+	node := sched.Defaults()
+	for _, name := range []string{"rr", "p2c", "ideal"} {
+		crashes, err := faults.GenerateCluster(11, machines, 4, 20, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disp, err := NewDispatcher(name, 0, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cks checkers
+		probe := &barrierProbe{}
+		f, err := New(Config{
+			Machines:  machines,
+			Node:      node,
+			NewPolicy: cks.newGE(node.QGE),
+			Dispatch:  disp,
+			Workload: workload.Spec{
+				ArrivalRate: node.CriticalLoad * machines,
+				ParetoAlpha: 3,
+				Xmin:        130,
+				Xmax:        1000,
+				Window:      0.15,
+				Duration:    4,
+				Seed:        11,
+			},
+			Faults:   crashes,
+			Shards:   2,
+			Observer: probe,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe.f = f
+		res, err := f.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Crashes == 0 || probe.faults == 0 {
+			t.Fatalf("%s: scenario too weak: %d crashes, %d faults probed", name, res.Crashes, probe.faults)
+		}
+		if res.LostForever != 0 {
+			t.Errorf("%s: %d jobs lost forever", name, res.LostForever)
+		}
+		if len(probe.stale) > 0 {
+			t.Errorf("%s: %d machine clocks off their fault barrier, first: %s",
+				name, len(probe.stale), probe.stale[0])
+		}
+		cks.check(t, name)
+	}
 }
 
 // stripLayout zeroes the fields that describe the execution layout rather

@@ -16,7 +16,11 @@
 //     the entire current budget on one core could sustain (stuck-DVFS
 //     cores are exempt from the cap — the hardware, not the scheduler,
 //     pinned them);
-//   - monotone time: scheduling triggers arrive in time order.
+//   - monotone time: scheduling triggers arrive in time order;
+//   - settled: the policy sees the machine as of the trigger — the machine
+//     clock equals the trigger time and no waiting job is past its
+//     deadline (the driver advances a machine lazily, so this is the
+//     contract that makes a decision read current state).
 //
 // Integration tests wrap each policy in a Checker and run full
 // simulations; any violation is recorded with a description. The checker
@@ -112,6 +116,14 @@ func (c *Checker) Schedule(ctx *sched.Context) {
 	}
 	c.lastTime = ctx.Now
 	c.timeSet = true
+	if t := ctx.Server.Now(); t != ctx.Now {
+		c.report(ctx.Now, "settled", "machine clock at %v, trigger at %v", t, ctx.Now)
+	}
+	for _, j := range ctx.Waiting.Peek() {
+		if j.Expired(ctx.Now) {
+			c.report(ctx.Now, "settled", "waiting job %d past its deadline %v", j.ID, j.Deadline)
+		}
+	}
 
 	c.inner.Schedule(ctx)
 

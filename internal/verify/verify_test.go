@@ -7,8 +7,10 @@ import (
 	"goodenough/internal/core"
 	"goodenough/internal/dist"
 	"goodenough/internal/faults"
+	"goodenough/internal/job"
 	"goodenough/internal/machine"
 	"goodenough/internal/power"
+	"goodenough/internal/quality"
 	"goodenough/internal/sched"
 	"goodenough/internal/workload"
 )
@@ -468,5 +470,30 @@ func TestCheckerEnforcesCurrentCap(t *testing.T) {
 	}
 	if !rules["power-budget"] && !rules["speed-cap"] {
 		t.Fatalf("checker missed the ignored cap: %v", ck.Violations())
+	}
+}
+
+// TestCheckerCatchesStaleMachine hands the checker a trigger whose machine
+// was never advanced to the trigger time and whose waiting queue still holds
+// an expired job: both halves of the settled rule must fire.
+func TestCheckerCatchesStaleMachine(t *testing.T) {
+	cfg := sched.Defaults()
+	server, err := machine.NewServer(cfg.Cores, cfg.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var waiting job.FIFO
+	waiting.Push(job.New(1, 0, 0.5, 200))
+	ck := Wrap(sched.NewFCFS())
+	ck.Schedule(&sched.Context{Now: 1, Cfg: &cfg, Budget: cfg.PowerBudget,
+		Server: server, Waiting: &waiting, Monitor: quality.NewAccumulator(cfg.Quality)})
+	var got []string
+	for _, v := range ck.Violations() {
+		if v.Rule == "settled" {
+			got = append(got, v.Detail)
+		}
+	}
+	if len(got) != 2 {
+		t.Fatalf("settled violations = %q, want the stale clock and the expired job", got)
 	}
 }
