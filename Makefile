@@ -80,6 +80,7 @@ fuzz:
 	$(GO) test -fuzz FuzzLongestFirst -fuzztime 30s ./internal/cut/
 	$(GO) test -fuzz FuzzWaterFill -fuzztime 30s ./internal/dist/
 	$(GO) test -fuzz FuzzAllocateEDF -fuzztime 30s ./internal/qopt/
+	$(GO) test -fuzz FuzzKernelVsReference -fuzztime 30s ./internal/sim/
 	$(GO) test -fuzz FuzzReadTrace -fuzztime 30s ./internal/workload/
 	$(GO) test -fuzz FuzzGenerate -fuzztime 30s ./internal/faults/
 	$(GO) test -fuzz FuzzGenerateCluster -fuzztime 30s ./internal/faults/
