@@ -6,13 +6,14 @@ import (
 	"testing"
 )
 
-// This file checks the index-addressable 4-ary heap against an independent
-// reference model built on container/heap — the implementation the kernel
-// replaced. Both sides receive the identical operation stream (schedule,
-// cancel, deliver) and must produce the identical delivery sequence under
-// the (time, priority, seq) total order. The fuzz target explores
-// cancel-heavy interleavings; TestKernelVsReferenceRandom replays fixed
-// pseudorandom streams on every plain `go test` run.
+// This file checks the index-addressable 4-ary heap and the ordered lane
+// against an independent reference model built on container/heap — the
+// implementation the kernel replaced, in which a post is an ordinary event
+// with the same seq. Both sides receive the identical operation stream
+// (schedule, cancel, post, deliver) and must produce the identical delivery
+// sequence under the (time, priority, seq) total order. The fuzz target
+// explores cancel-heavy interleavings; TestKernelVsReferenceRandom replays
+// fixed pseudorandom streams on every plain `go test` run.
 
 // refEvent mirrors one scheduled event in the reference model.
 type refEvent struct {
@@ -21,7 +22,9 @@ type refEvent struct {
 	seq       uint64
 	kind      Kind
 	core      int
+	ref       int
 	cancelled bool
+	posted    bool
 }
 
 // refHeap is a container/heap min-heap over (time, priority, seq).
@@ -60,6 +63,11 @@ type kernelHarness struct {
 	seq       uint64
 	delivered Event // engine handler output, consumed by step()
 	gotEvent  bool
+
+	// posts counts posted events not yet delivered; lastPost is the latest
+	// post, which a new post must not order before while any is pending.
+	posts    int
+	lastPost *refEvent
 }
 
 func newKernelHarness(t *testing.T) *kernelHarness {
@@ -94,7 +102,7 @@ func (h *kernelHarness) schedule(dt float64, kind Kind, core, priority int) {
 	if err != nil {
 		h.t.Fatalf("schedule(%v, %v): %v", t, kind, err)
 	}
-	ev := &refEvent{time: t, priority: prio, seq: h.seq, kind: kind, core: core}
+	ev := &refEvent{time: t, priority: prio, seq: h.seq, kind: kind, core: core, ref: -1}
 	h.seq++
 	heap.Push(&h.ref, ev)
 	h.live = append(h.live, struct {
@@ -114,6 +122,51 @@ func (h *kernelHarness) cancel(k int) {
 	}
 	entry.ev.cancelled = true
 	h.live = append(h.live[:k], h.live[k+1:]...)
+}
+
+// post appends one event to the lane and adds it to the reference as an
+// ordinary event with the same seq. dt >= 0 offsets it from the earliest
+// legal instant: now, or the last pending post when it is later. A post
+// that would order before the pending tail (same instant, lower priority)
+// must be refused, with nothing queued and no seq consumed.
+func (h *kernelHarness) post(dt float64, kind Kind, core int) {
+	t := h.eng.Now()
+	if h.posts > 0 && h.lastPost.time > t {
+		t = h.lastPost.time
+	}
+	t += dt
+	prio := int(kind)
+	if h.posts > 0 && t == h.lastPost.time && prio < h.lastPost.priority {
+		pending := h.eng.Pending()
+		if err := h.eng.Post(t, kind, core, 0); err == nil {
+			h.t.Fatalf("Post(%v, %v) ordering before the pending post (%v, prio %d) was accepted",
+				t, kind, h.lastPost.time, h.lastPost.priority)
+		}
+		if h.eng.Pending() != pending {
+			h.t.Fatalf("a refused Post changed Pending from %d to %d", pending, h.eng.Pending())
+		}
+		return
+	}
+	ref := int(h.seq % 1000)
+	if err := h.eng.Post(t, kind, core, ref); err != nil {
+		h.t.Fatalf("Post(%v, %v): %v", t, kind, err)
+	}
+	ev := &refEvent{time: t, priority: prio, seq: h.seq, kind: kind, core: core, ref: ref, posted: true}
+	h.seq++
+	heap.Push(&h.ref, ev)
+	h.posts++
+	h.lastPost = ev
+}
+
+// postPast tries a post before now, which must be refused.
+func (h *kernelHarness) postPast(dt float64) {
+	pending := h.eng.Pending()
+	if err := h.eng.Post(h.eng.Now()-dt, KindArrival, 0, 0); err == nil {
+		h.t.Fatalf("Post before now %v was accepted", h.eng.Now())
+	}
+	if h.eng.Pending() != pending {
+		h.t.Fatalf("a refused Post changed Pending from %d to %d", pending, h.eng.Pending())
+	}
 }
 
 // step delivers one event on both sides and compares them.
@@ -139,9 +192,13 @@ func (h *kernelHarness) step() {
 		h.t.Fatalf("reference delivers (t=%v kind=%v) but engine delivered nothing", want.time, want.kind)
 	}
 	got := h.delivered
-	if got.Time != want.time || got.Kind != want.kind || got.Core != want.core {
-		h.t.Fatalf("delivery mismatch: engine (t=%v kind=%v core=%d), reference (t=%v kind=%v core=%d, seq=%d)",
-			got.Time, got.Kind, got.Core, want.time, want.kind, want.core, want.seq)
+	if got.Time != want.time || got.Kind != want.kind || got.Core != want.core || got.Ref != want.ref {
+		h.t.Fatalf("delivery mismatch: engine (t=%v kind=%v core=%d ref=%d), reference (t=%v kind=%v core=%d ref=%d, seq=%d, posted=%v)",
+			got.Time, got.Kind, got.Core, got.Ref, want.time, want.kind, want.core, want.ref, want.seq, want.posted)
+	}
+	if want.posted {
+		h.posts--
+		return
 	}
 	// Retire the delivered event from the live set; its handle must now be
 	// stale on the engine side too.
@@ -161,10 +218,11 @@ func (h *kernelHarness) liveCount() int {
 }
 
 // run interprets a byte stream as an operation program. The op mix is
-// deliberately cancel-heavy (2 schedule : 2 cancel : 2 step in expectation,
-// with cancel falling through to step when nothing is live) because
-// cancellation is where slot reuse, swap-removal, and generation tagging
-// can go wrong.
+// deliberately cancel-heavy (2 schedule : 2 cancel : 2 step : 2 post in
+// expectation, with cancel falling through to step when nothing is live)
+// because cancellation is where slot reuse, swap-removal, and generation
+// tagging can go wrong. Posts land on or just after the earliest legal
+// instant, so they often tie heap events on time and priority.
 func runKernelProgram(t *testing.T, data []byte) {
 	h := newKernelHarness(t)
 	kinds := []Kind{KindArrival, KindDeadline, KindCoreIdle, KindQuantum, KindUser}
@@ -178,7 +236,7 @@ func runKernelProgram(t *testing.T, data []byte) {
 		return b
 	}
 	for i < len(data) {
-		op := next() % 6
+		op := next() % 8
 		switch {
 		case op < 2: // schedule
 			dt := float64(next()%64) * 0.125
@@ -195,12 +253,20 @@ func runKernelProgram(t *testing.T, data []byte) {
 			} else {
 				h.step()
 			}
-		default:
+		case op < 6:
 			h.step()
+		default: // post, or now and then a post before now
+			dt := float64(next()%4) * 0.125
+			kind := kinds[int(next())%len(kinds)]
+			if b := next(); b%16 == 0 {
+				h.postPast(dt + 0.125)
+			} else {
+				h.post(dt, kind, int(b%8))
+			}
 		}
 	}
 	// Drain: every remaining event must come out in the reference order.
-	for h.liveCount() > 0 {
+	for len(h.ref) > 0 {
 		h.step()
 	}
 	if h.eng.Pending() != 0 {

@@ -126,6 +126,17 @@ type node struct {
 	ref      int32
 }
 
+// laneEntry is one posted event; its priority is its kind's ordinal. Posts
+// arrive in delivery order, so the lane needs no heap: it is a ring of
+// entries in arrival order.
+type laneEntry struct {
+	time float64
+	seq  uint64
+	kind int32
+	core int32
+	ref  int32
+}
+
 // Handler processes one event. It may schedule further events on the
 // engine. Returning an error aborts the run.
 type Handler func(e *Event) error
@@ -139,6 +150,12 @@ type Engine struct {
 	nodes []node
 	heap  []int32
 	free  []int32
+
+	// lane is the ordered lane, a ring whose length is zero or a power of
+	// two: laneLen entries starting at laneHead, in delivery order.
+	lane     []laneEntry
+	laneHead int
+	laneLen  int
 
 	seq     uint64
 	handler Handler
@@ -199,7 +216,7 @@ func (e *Engine) observe(t float64, kind Kind) {
 	if e.obs != nil {
 		e.obs.Observe(obs.Event{
 			Time: t, Type: obs.EventKernel, Core: -1, Job: -1,
-			Value: float64(kind), Aux: float64(len(e.heap)),
+			Value: float64(kind), Aux: float64(e.Pending()),
 		})
 	}
 }
@@ -212,8 +229,9 @@ func NewEngine(handler Handler) *Engine {
 // Now returns the current simulation time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending returns the number of events not yet delivered.
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending returns the number of events not yet delivered, on the heap and
+// on the lane.
+func (e *Engine) Pending() int { return len(e.heap) + e.laneLen }
 
 // less orders two slab slots by the kernel's total order.
 func (e *Engine) less(a, b int32) bool {
@@ -361,7 +379,81 @@ func (e *Engine) schedule(t float64, kind Kind, core, ref, priority int) (EventI
 	return EventID(uint64(e.nodes[slot].gen)<<32 | uint64(uint32(slot))), nil
 }
 
-// Cancel removes a pending event. Cancelling an already-delivered,
+// Post appends an event to the ordered lane, with the default priority (the
+// Kind's ordinal) and both payload fields. It is the cheap path for an owner
+// whose events come in delivery order: a post must not order before now, nor
+// before the lane's last pending post by (time, priority); either is an
+// error. A posted event is delivered exactly where Schedule would have
+// delivered it, but it cannot be cancelled.
+func (e *Engine) Post(t float64, kind Kind, core, ref int) error {
+	if math.IsNaN(t) {
+		panic("sim: posting event at NaN time")
+	}
+	if t < e.now {
+		return fmt.Errorf("sim: event %v posted at %v, before now %v", kind, t, e.now)
+	}
+	if e.laneLen > 0 {
+		last := &e.lane[(e.laneHead+e.laneLen-1)&(len(e.lane)-1)]
+		if t < last.time || t == last.time && int32(kind) < last.kind {
+			return fmt.Errorf("sim: event %v posted at %v, before the last post (%v at %v)",
+				kind, t, Kind(last.kind), last.time)
+		}
+	}
+	if e.laneLen == len(e.lane) {
+		e.growLane()
+	}
+	e.lane[(e.laneHead+e.laneLen)&(len(e.lane)-1)] = laneEntry{
+		time: t, seq: e.seq, kind: int32(kind), core: int32(core), ref: int32(ref),
+	}
+	e.seq++
+	e.laneLen++
+	return nil
+}
+
+// growLane doubles the lane ring, unrolling it so the head sits at zero.
+func (e *Engine) growLane() {
+	grown := make([]laneEntry, max(64, 2*len(e.lane)))
+	n := copy(grown, e.lane[e.laneHead:])
+	copy(grown[n:], e.lane[:e.laneHead])
+	e.lane, e.laneHead = grown, 0
+}
+
+// laneFirst reports whether the next event in delivery order is the lane's
+// head rather than the heap's minimum. The queue must not be empty.
+func (e *Engine) laneFirst() bool {
+	if e.laneLen == 0 {
+		return false
+	}
+	if len(e.heap) == 0 {
+		return true
+	}
+	l, h := &e.lane[e.laneHead], &e.nodes[e.heap[0]]
+	if l.time != h.time {
+		return l.time < h.time
+	}
+	if l.kind != h.priority { // a lane entry's kind is its priority
+		return l.kind < h.priority
+	}
+	return l.seq < h.seq
+}
+
+// take removes the next event in delivery order into e.cur. The queue must
+// not be empty.
+func (e *Engine) take() {
+	if e.laneFirst() {
+		l := &e.lane[e.laneHead]
+		e.cur = Event{Time: l.time, Kind: Kind(l.kind), Core: int(l.core), Ref: int(l.ref)}
+		e.laneHead = (e.laneHead + 1) & (len(e.lane) - 1)
+		e.laneLen--
+		return
+	}
+	slot := e.pop()
+	nd := &e.nodes[slot]
+	e.cur = Event{Time: nd.time, Kind: nd.kind, Core: int(nd.core), Ref: int(nd.ref)}
+	e.release(slot)
+}
+
+// Cancel removes a pending scheduled event. Cancelling an already-delivered,
 // already-cancelled, or zero handle is a harmless no-op (returns false).
 func (e *Engine) Cancel(id EventID) bool {
 	slot := int32(uint32(id))
@@ -389,13 +481,10 @@ func (e *Engine) Cancel(id EventID) bool {
 	return true
 }
 
-// deliver pops the minimum event into e.cur, releases its slot, and hands
-// it to the handler. Returns (stop, err).
+// deliver takes the next event into e.cur and hands it to the handler.
+// Returns (stop, err).
 func (e *Engine) deliver() (bool, error) {
-	slot := e.pop()
-	nd := &e.nodes[slot]
-	e.cur = Event{Time: nd.time, Kind: nd.kind, Core: int(nd.core), Ref: int(nd.ref)}
-	e.release(slot)
+	e.take()
 	ev := &e.cur
 	if ev.Time < e.now {
 		return true, fmt.Errorf("sim: time went backwards: %v -> %v", e.now, ev.Time)
@@ -417,14 +506,14 @@ func (e *Engine) Run() error {
 	if err := e.interrupted(); err != nil {
 		return err
 	}
-	for len(e.heap) > 0 {
+	for e.Pending() > 0 {
 		if e.Processed%ctxStride == 0 {
 			if err := e.interrupted(); err != nil {
 				return err
 			}
 		}
-		if e.Horizon > 0 && e.nodes[e.heap[0]].time > e.Horizon {
-			e.release(e.pop())
+		if e.Horizon > 0 && e.PeekTime() > e.Horizon {
+			e.take()
 			e.now = e.Horizon
 			return nil
 		}
@@ -448,7 +537,7 @@ func (e *Engine) Run() error {
 // not consulted (shard engines are bounded by their callers, not by
 // wall-clock safety nets); KindEnd stops delivery as in Run.
 func (e *Engine) RunUntil(limit float64) error {
-	for len(e.heap) > 0 && e.nodes[e.heap[0]].time < limit {
+	for e.PeekTime() < limit {
 		stop, err := e.deliver()
 		if err != nil {
 			return err
@@ -466,7 +555,7 @@ func (e *Engine) Step() (bool, error) {
 	if err := e.interrupted(); err != nil {
 		return false, err
 	}
-	if len(e.heap) == 0 {
+	if e.Pending() == 0 {
 		return false, nil
 	}
 	if _, err := e.deliver(); err != nil {
@@ -475,11 +564,15 @@ func (e *Engine) Step() (bool, error) {
 	return true, nil
 }
 
-// PeekTime returns the timestamp of the next pending event, or +Inf when
-// the queue is empty.
+// PeekTime returns the timestamp of the next pending event, on the heap or
+// on the lane, or +Inf when both are empty.
 func (e *Engine) PeekTime() float64 {
-	if len(e.heap) == 0 {
-		return math.Inf(1)
+	t := math.Inf(1)
+	if len(e.heap) > 0 {
+		t = e.nodes[e.heap[0]].time
 	}
-	return e.nodes[e.heap[0]].time
+	if e.laneLen > 0 && e.lane[e.laneHead].time < t {
+		t = e.lane[e.laneHead].time
+	}
+	return t
 }
