@@ -155,7 +155,10 @@ func (c *Cutter) LongestFirst(jobs []*job.Job, f quality.Function, qge float64) 
 		exact = f.Inverse(perJobQ)
 	}
 
-	// Apply targets with processed-volume floors.
+	// Apply targets with processed-volume floors. Every cut job whose floor
+	// does not bind lands exactly on the cut level, so f(exact) is
+	// evaluated once for the pass.
+	fExact := f.Value(exact)
 	res := Result{}
 	achieved := 0.0
 	for rank, idx := range order {
@@ -173,9 +176,12 @@ func (c *Cutter) LongestFirst(jobs []*job.Job, f quality.Function, qge float64) 
 		if j.Target < old {
 			res.WorkRemoved += old - j.Target
 		}
-		if j.Target == j.Demand {
+		switch j.Target {
+		case j.Demand:
 			achieved += fvals[idx] // memoized, identical to f.Value(Target)
-		} else {
+		case exact:
+			achieved += fExact
+		default:
 			achieved += f.Value(j.Target)
 		}
 	}

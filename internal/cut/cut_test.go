@@ -1,7 +1,9 @@
 package cut
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -309,6 +311,40 @@ func TestLFBeatsProportionalCut(t *testing.T) {
 		if res.WorkRemoved < propRemoved-1e-6 {
 			t.Fatalf("trial %d: LF removed %v, proportional removed %v — LF should win",
 				trial, res.WorkRemoved, propRemoved)
+		}
+	}
+}
+
+// TestQualityMatchesPerJobEvaluation pins the reported quality bit for bit
+// to evaluating f at every job's final target, summed longest first (ties in
+// input order) over Σf(demand) summed in input order. Some jobs carry
+// processed volumes, so floors bind on part of the cut group.
+func TestQualityMatchesPerJobEvaluation(t *testing.T) {
+	r := rng.New(5)
+	for _, f := range []quality.Function{paperF(), quality.NewLogarithmic(0.01, 1000)} {
+		for trial := 0; trial < 300; trial++ {
+			jobs := make([]*job.Job, 1+r.Intn(24))
+			for i := range jobs {
+				jobs[i] = job.New(i, 0, 0.15, float64(130+10*r.Intn(88)))
+				if r.Intn(3) == 0 {
+					jobs[i].Processed = r.Uniform(0, jobs[i].Demand)
+				}
+			}
+			qge := r.Uniform(0.3, 0.99)
+			res := LongestFirst(jobs, f, qge)
+			fullQ := 0.0
+			for _, j := range jobs {
+				fullQ += f.Value(j.Demand)
+			}
+			byDemand := slices.Clone(jobs)
+			slices.SortStableFunc(byDemand, func(a, b *job.Job) int { return cmp.Compare(b.Demand, a.Demand) })
+			achieved := 0.0
+			for _, j := range byDemand {
+				achieved += f.Value(j.Target)
+			}
+			if want := achieved / fullQ; math.Float64bits(res.Quality) != math.Float64bits(want) {
+				t.Fatalf("%s trial %d: quality %v, per-job evaluation %v", f.Name(), trial, res.Quality, want)
+			}
 		}
 	}
 }

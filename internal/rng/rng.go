@@ -106,24 +106,47 @@ func (r *Source) Uniform(lo, hi float64) float64 {
 
 // BoundedPareto samples the bounded Pareto distribution with shape alpha on
 // [xmin, xmax] by inverse-CDF. This is the service-demand distribution used
-// throughout the paper (alpha=3, xmin=130, xmax=1000).
+// throughout the paper (alpha=3, xmin=130, xmax=1000). A stream of draws
+// from one shape should hold a Pareto instead, which computes the
+// distribution's constants once.
 func (r *Source) BoundedPareto(alpha, xmin, xmax float64) float64 {
+	return NewPareto(alpha, xmin, xmax).Sample(r)
+}
+
+// Pareto is a bounded Pareto distribution with the constants of its
+// inverse CDF precomputed, so a draw costs one math.Pow.
+type Pareto struct {
+	xmin, xmax float64
+	// la and ha are xmin^alpha and xmax^alpha; hl is ha·la and exp is
+	// -1/alpha.
+	la, ha, hl, exp float64
+}
+
+// NewPareto returns the bounded Pareto distribution with shape alpha on
+// [xmin, xmax]. It panics on invalid parameters.
+func NewPareto(alpha, xmin, xmax float64) Pareto {
 	if alpha <= 0 || xmin <= 0 || xmax < xmin {
 		panic("rng: invalid bounded Pareto parameters")
 	}
-	if xmax == xmin {
-		return xmin
-	}
-	u := r.Float64()
 	la := math.Pow(xmin, alpha)
 	ha := math.Pow(xmax, alpha)
-	// Inverse of F(x) = (1 - (xmin/x)^alpha) / (1 - (xmin/xmax)^alpha).
-	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-	if x < xmin {
-		x = xmin
+	return Pareto{xmin: xmin, xmax: xmax, la: la, ha: ha, hl: ha * la, exp: -1 / alpha}
+}
+
+// Sample draws one value from r by inverse-CDF. A degenerate distribution
+// (xmin == xmax) returns xmin without drawing.
+func (p Pareto) Sample(r *Source) float64 {
+	if p.xmax == p.xmin {
+		return p.xmin
 	}
-	if x > xmax {
-		x = xmax
+	u := r.Float64()
+	// Inverse of F(x) = (1 - (xmin/x)^alpha) / (1 - (xmin/xmax)^alpha).
+	x := math.Pow(-(u*p.ha-u*p.la-p.ha)/p.hl, p.exp)
+	if x < p.xmin {
+		x = p.xmin
+	}
+	if x > p.xmax {
+		x = p.xmax
 	}
 	return x
 }

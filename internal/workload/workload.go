@@ -198,19 +198,36 @@ func (s Spec) OfferedLoad() float64 { return s.ArrivalRate * s.MeanDemand() }
 // changing the window model does not perturb the demand sequence — a
 // property the paired experiments (Fig. 3 vs Fig. 4) rely on.
 type Generator struct {
-	spec     Spec
-	arrivals *rng.Source
-	demands  *rng.Source
-	windows  *rng.Source
-	classes  *rng.Source
-	phases   *rng.Source
-	nextID   int
-	clock    float64
-	done     bool
+	spec Spec
+	// shapes holds one entry per class, or the spec's own fields when it
+	// has no classes, in which case shapeStore backs it; totalWeight sums
+	// the class weights.
+	shapes      []shape
+	shapeStore  [1]shape
+	totalWeight float64
+	arrivals    *rng.Source
+	demands     *rng.Source
+	windows     *rng.Source
+	classes     *rng.Source
+	phases      *rng.Source
+	nextID      int
+	clock       float64
+	done        bool
 
 	// MMPP state.
 	inHigh   bool
 	phaseEnd float64
+}
+
+// shape is one demand/window model with its demand distribution's
+// constants computed once.
+type shape struct {
+	Class
+	demand rng.Pareto
+}
+
+func newShape(c Class) shape {
+	return shape{Class: c, demand: rng.NewPareto(c.ParetoAlpha, c.Xmin, c.Xmax)}
 }
 
 // NewGenerator builds a generator for the spec. It panics if the spec is
@@ -227,6 +244,17 @@ func NewGenerator(spec Spec) *Generator {
 		windows:  root.Split(),
 		classes:  root.Split(),
 		phases:   root.Split(),
+	}
+	if len(spec.Classes) == 0 {
+		g.shapes = append(g.shapeStore[:0], newShape(Class{
+			ParetoAlpha: spec.ParetoAlpha, Xmin: spec.Xmin, Xmax: spec.Xmax,
+			Window: spec.Window, RandomWindow: spec.RandomWindow,
+			WindowMin: spec.WindowMin, WindowMax: spec.WindowMax,
+		}))
+	}
+	for _, c := range spec.Classes {
+		g.shapes = append(g.shapes, newShape(c))
+		g.totalWeight += c.Weight
 	}
 	if spec.Burst != nil {
 		g.inHigh = true
@@ -255,7 +283,7 @@ func (g *Generator) NextInto(reuse *job.Job) *job.Job {
 		return nil
 	}
 	shape := g.pickShape()
-	demand := g.demands.BoundedPareto(shape.ParetoAlpha, shape.Xmin, shape.Xmax)
+	demand := shape.demand.Sample(g.demands)
 	window := shape.Window
 	if shape.RandomWindow {
 		window = g.windows.Uniform(shape.WindowMin, shape.WindowMax)
@@ -312,27 +340,18 @@ func (g *Generator) advanceClock() {
 
 // pickShape selects the demand/window parameters for the next arrival: the
 // spec's own fields for single-class workloads, or a weighted class draw.
-func (g *Generator) pickShape() Class {
-	s := g.spec
-	if len(s.Classes) == 0 {
-		return Class{
-			ParetoAlpha: s.ParetoAlpha, Xmin: s.Xmin, Xmax: s.Xmax,
-			Window: s.Window, RandomWindow: s.RandomWindow,
-			WindowMin: s.WindowMin, WindowMax: s.WindowMax,
-		}
+func (g *Generator) pickShape() *shape {
+	if len(g.spec.Classes) == 0 {
+		return &g.shapes[0]
 	}
-	total := 0.0
-	for _, c := range s.Classes {
-		total += c.Weight
-	}
-	pick := g.classes.Float64() * total
-	for _, c := range s.Classes {
-		pick -= c.Weight
+	pick := g.classes.Float64() * g.totalWeight
+	for i := range g.shapes {
+		pick -= g.shapes[i].Weight
 		if pick < 0 {
-			return c
+			return &g.shapes[i]
 		}
 	}
-	return s.Classes[len(s.Classes)-1]
+	return &g.shapes[len(g.shapes)-1]
 }
 
 // All materializes the entire stream. Convenient for traces and tests; the

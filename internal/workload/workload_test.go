@@ -528,3 +528,88 @@ func TestBurstDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// referencePareto is the per-draw bounded Pareto formula the generator
+// used before it precomputed each shape's constants: both math.Pow terms,
+// the product and the exponent recomputed on every draw.
+func referencePareto(r *rng.Source, alpha, xmin, xmax float64) float64 {
+	if xmax == xmin {
+		return xmin
+	}
+	u := r.Float64()
+	la := math.Pow(xmin, alpha)
+	ha := math.Pow(xmax, alpha)
+	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
+	if x < xmin {
+		x = xmin
+	}
+	if x > xmax {
+		x = xmax
+	}
+	return x
+}
+
+// TestParetoDrawsMatchPerDrawFormula proves the precomputed draws bit for
+// bit equal to the per-draw formula, across seeds, shapes (a degenerate
+// one included) and class mixtures. The reference replays the generator's
+// streams: the demand stream draws one value per job, from the class the
+// class stream picks.
+func TestParetoDrawsMatchPerDrawFormula(t *testing.T) {
+	shapes := []Class{
+		{Weight: 1, ParetoAlpha: 3, Xmin: 130, Xmax: 1000, Window: 0.15},
+		{Weight: 2.5, ParetoAlpha: 1, Xmin: 1, Xmax: 1e6, Window: 0.5},
+		{Weight: 0.3, ParetoAlpha: 0.4, Xmin: 20, Xmax: 21, RandomWindow: true, WindowMin: 0.1, WindowMax: 0.3},
+		{Weight: 1, ParetoAlpha: 7.5, Xmin: 500, Xmax: 500, Window: 1},
+		{Weight: 4, ParetoAlpha: 2.2, Xmin: 0.01, Xmax: 3, Window: 0.05},
+	}
+	mixes := [][]Class{nil, shapes, shapes[:2], shapes[2:], {shapes[3], shapes[0]}}
+	for seed := uint64(1); seed <= 40; seed++ {
+		for _, single := range shapes {
+			spec := Spec{ArrivalRate: 400, ParetoAlpha: single.ParetoAlpha, Xmin: single.Xmin,
+				Xmax: single.Xmax, Window: 0.15, Duration: 2, Seed: seed}
+			checkParetoDraws(t, spec)
+		}
+		for _, mix := range mixes[1:] {
+			checkParetoDraws(t, Spec{ArrivalRate: 400, Duration: 2, Seed: seed, Classes: mix})
+		}
+	}
+}
+
+// checkParetoDraws generates spec's stream and compares every demand with
+// the reference formula drawn from a replica of the generator's streams.
+func checkParetoDraws(t *testing.T, spec Spec) {
+	t.Helper()
+	root := rng.New(spec.Seed)
+	root.Split() // arrivals
+	demands := root.Split()
+	root.Split() // windows
+	classes := root.Split()
+	total := 0.0
+	for _, c := range spec.Classes {
+		total += c.Weight
+	}
+	g := NewGenerator(spec)
+	n := 0
+	for j := g.Next(); j != nil; j = g.Next() {
+		alpha, xmin, xmax := spec.ParetoAlpha, spec.Xmin, spec.Xmax
+		if len(spec.Classes) > 0 {
+			c := spec.Classes[len(spec.Classes)-1]
+			pick := classes.Float64() * total
+			for _, cand := range spec.Classes {
+				if pick -= cand.Weight; pick < 0 {
+					c = cand
+					break
+				}
+			}
+			alpha, xmin, xmax = c.ParetoAlpha, c.Xmin, c.Xmax
+		}
+		want := referencePareto(demands, alpha, xmin, xmax)
+		if math.Float64bits(j.Demand) != math.Float64bits(want) {
+			t.Fatalf("seed %d job %d: demand %v, per-draw formula %v", spec.Seed, j.ID, j.Demand, want)
+		}
+		n++
+	}
+	if n < 100 {
+		t.Fatalf("seed %d: only %d jobs drawn", spec.Seed, n)
+	}
+}
