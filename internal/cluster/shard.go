@@ -5,26 +5,28 @@
 // The run alternates two phases. In the *global phase* (main goroutine) the
 // dispatcher processes arrivals, routing decisions, parked-job deadlines,
 // quantum ticks, and machine faults in one globally ordered stream. Routing
-// a job schedules a push event on the target machine's shard heap. In the
-// *shard phase*, every shard drains its heap up to the next barrier instant
-// — workers in parallel when K > 1, inline when K == 1 — delivering pushes,
-// per-core idle wakeups, and one expiry wakeup per machine to its own
-// machines only, then settles each of its machines to the barrier instant.
-// Machines in different shards never share mutable state. Between barriers
-// only machines with due events are touched, and only an idle wakeup or an
-// arrival that may fire a trigger advances a machine's cores.
+// a job posts a push event on the ordered lane of the target machine's shard
+// engine. In the *shard phase*, every shard drains its engine up to the next
+// barrier instant — workers in parallel when K > 1, inline when K == 1 —
+// delivering pushes, per-core idle wakeups, and one expiry wakeup per
+// machine to its own machines only, then settles each of its machines to
+// the barrier instant and samples the view signals of every machine it
+// touched. Machines in different shards never share mutable state. Between
+// barriers only machines with due events are touched, and only an idle
+// wakeup or an arrival that may fire a trigger advances a machine's cores.
 //
 // Determinism for every K rests on three invariants. (1) The barrier
 // instants — quantum ticks, machine faults, end of run — come from the
 // global stream alone, so every K settles every machine at the same
 // sequence of barrier instants. (2) A machine's progression depends only on
 // events addressed to it, which are identical for every K; within one shard
-// heap, (time, kind-priority, seq) ordering reduces to per-machine delivery
-// order because same-instant cross-machine events are independent. (3) All
-// cross-machine effects — observer events, decision records, response-time
-// samples, quality accumulation, job recycling — are buffered per machine
-// and replayed at the barrier flush in machine-index order, so merged
-// streams and float accumulation order never depend on the shard layout.
+// engine, (time, kind-priority, seq) ordering reduces to per-machine
+// delivery order because same-instant cross-machine events are independent.
+// (3) All cross-machine effects — observer events, decision records,
+// response-time samples, quality terms, job recycling, view signals — are
+// buffered per machine and replayed at the barrier flush in machine-index
+// order, so merged streams and float accumulation order never depend on the
+// shard layout.
 package cluster
 
 import (
@@ -54,17 +56,18 @@ type shard struct {
 	inboxHead int
 }
 
-// push schedules delivery of a routed job to machine n at time now. The
-// machine's driver arms its own expiry wakeup when the job lands, so a job
-// re-routed across shards expires on the machine that holds it.
+// push posts delivery of a routed job to machine n at time now on the
+// shard engine's ordered lane: the global phase routes at non-decreasing
+// instants, so the lane takes pushes in delivery order. The machine's driver
+// arms its own expiry wakeup when the job lands, so a job re-routed across
+// shards expires on the machine that holds it.
 func (s *shard) push(now float64, n *node, j *job.Job) error {
 	if s.inboxHead == len(s.inbox) {
 		s.inbox = s.inbox[:0]
 		s.inboxHead = 0
 	}
 	s.inbox = append(s.inbox, j)
-	_, err := s.engine.ScheduleCoreRef(now, sim.KindArrival, n.idx, len(s.inbox)-1)
-	return err
+	return s.engine.Post(now, sim.KindArrival, n.idx, len(s.inbox)-1)
 }
 
 // handle is the shard-phase event dispatcher. Everything it touches is
@@ -157,6 +160,9 @@ func (f *Fleet) barrier(now float64) error {
 			if err := n.settle(now); err != nil {
 				return err
 			}
+			if n.dirty {
+				n.sample()
+			}
 		}
 		return nil
 	})
@@ -168,7 +174,8 @@ func (f *Fleet) barrier(now float64) error {
 }
 
 // quantumFanout invokes every up machine's policy at a quantum tick —
-// shard-parallel, since invocations only touch node-local state.
+// shard-parallel, since invocations only touch node-local state — and
+// samples the view signals of every machine touched since the last flush.
 func (f *Fleet) quantumFanout(now float64) error {
 	return f.runShards(func(s *shard) error {
 		for _, n := range s.nodes {
@@ -176,6 +183,9 @@ func (f *Fleet) quantumFanout(now float64) error {
 				if err := n.invoke(now, sched.TriggerQuantum); err != nil {
 					return err
 				}
+			}
+			if n.dirty {
+				n.sample()
 			}
 		}
 		return nil
@@ -186,7 +196,10 @@ func (f *Fleet) quantumFanout(now float64) error {
 // observer events, decision records, finalization accounting (responses,
 // fleet quality, job recycling), idle notes, and cached-view refreshes.
 // This is the deterministic merge — the only place shard-phase effects
-// become globally visible.
+// become globally visible. The shards did the per-machine work: a
+// finalization record carries its quality terms and response time, and a
+// touched machine carries its sampled view signals, so the flush only adds
+// them up in order and applies the in-flight adjustments.
 func (f *Fleet) flush() {
 	for _, n := range f.nodes {
 		if len(n.evbuf) > 0 {
@@ -203,13 +216,13 @@ func (f *Fleet) flush() {
 		}
 		if recs := n.d.Finals(); len(recs) > 0 {
 			for _, r := range recs {
-				j := r.Job
-				f.acc.Add(j.Processed, j.Demand)
+				// Fleet jobs always have demand, so every record counts.
+				f.acc.AddTerms(r.Achieved, r.Possible)
 				f.finalized++
-				if r.Completed {
-					f.responses = append(f.responses, j.Finish-j.Release)
+				if r.Completed() {
+					f.responses = append(f.responses, r.Response)
 				}
-				f.recycle(j)
+				f.recycle(r.Job)
 			}
 			n.d.ClearFinals()
 		}
@@ -219,7 +232,7 @@ func (f *Fleet) flush() {
 		}
 		if n.dirty {
 			n.dirty = false
-			f.refreshView(n)
+			f.applyView(n)
 		}
 	}
 }

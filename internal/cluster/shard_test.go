@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -15,10 +16,12 @@ import (
 )
 
 // shardRun executes one fleet scenario — light load over six machines so
-// several sit quiescent between jobs, with a crash, a partition, and a
-// slowdown landing mid-run — at the given shard count, and returns the full
+// several sit quiescent between jobs, with a crash, a partition, and two
+// slowdowns landing mid-run, one on a quantum tick and one between ticks —
+// at the given shard count, and returns the full
 // event stream, decision stream, and Result. Every node's policy runs under
-// an invariant checker, and the run fails on any violation.
+// an invariant checker, a barrierProbe watches the run, and the run fails on
+// any violation.
 func shardRun(t *testing.T, shards int) ([]byte, []byte, Result) {
 	t.Helper()
 	node := sched.Defaults()
@@ -29,6 +32,7 @@ func shardRun(t *testing.T, shards int) ([]byte, []byte, Result) {
 		{At: 1.5, Kind: faults.MachineCrash, Machine: 2, Duration: 2},
 		{At: 2.0, Kind: faults.MachinePartition, Machine: 3, Duration: 3},
 		{At: 2.5, Kind: faults.MachineSlow, Machine: 4, Duration: 2, Factor: 0.5},
+		{At: 2.7, Kind: faults.MachineSlow, Machine: 5, Duration: 1, Factor: 0.6},
 	}
 	cs, err := faults.NewCluster(specs, 6, 10)
 	if err != nil {
@@ -39,6 +43,7 @@ func shardRun(t *testing.T, shards int) ([]byte, []byte, Result) {
 		t.Fatal(err)
 	}
 	var cks checkers
+	probe := &barrierProbe{}
 	f, err := New(Config{
 		Machines:  6,
 		Node:      node,
@@ -55,12 +60,13 @@ func shardRun(t *testing.T, shards int) ([]byte, []byte, Result) {
 		},
 		Faults:    cs,
 		Shards:    shards,
-		Observer:  ej,
+		Observer:  obs.Multi(ej, probe),
 		Decisions: dl,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	probe.f = f
 	res, err := f.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +77,9 @@ func shardRun(t *testing.T, shards int) ([]byte, []byte, Result) {
 	if err := dl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	cks.check(t, fmt.Sprintf("K=%d", shards))
+	label := fmt.Sprintf("K=%d", shards)
+	cks.check(t, label)
+	probe.check(t, label)
 	return events.Bytes(), decisions.Bytes(), res
 }
 
@@ -101,23 +109,83 @@ func (c checkers) check(t *testing.T, label string) {
 
 // barrierProbe observes a fleet run and checks, at every machine crash and
 // recovery, that every machine has been settled to the fault's barrier
-// instant. The fleet emits those events in the global phase, with every
+// instant. It also checks that the dispatcher's view is fresh: at every
+// crash and recovery, and at the first arrival after any machine fault
+// (when the fault's flush has applied whatever the global phase changed,
+// such as the replan after a slowdown), every machine the dispatcher can
+// pick must have cached view slots equal to a fresh recomputation from its
+// live state. The fleet emits those events in the global phase, with every
 // shard parked, so reading the machines is race-free.
 type barrierProbe struct {
 	f      *Fleet
 	faults int
+	views  int
 	stale  []string
+	// afterFault is set by any machine fault and cleared by the next
+	// arrival, which checks the view.
+	afterFault bool
 }
 
 // Observe implements obs.Observer.
 func (p *barrierProbe) Observe(e obs.Event) {
-	if e.Type != obs.EventMachineDown && e.Type != obs.EventMachineUp {
-		return
+	switch e.Type {
+	case obs.EventMachineDown, obs.EventMachineUp:
+		p.faults++
+		p.afterFault = true
+		for _, n := range p.f.nodes {
+			if now := n.d.Server().Now(); now != e.Time {
+				p.stale = append(p.stale, fmt.Sprintf("machine %d at %v, fault at %v", n.idx, now, e.Time))
+			}
+		}
+		p.checkView(e)
+	case obs.EventMachinePartition, obs.EventMachineDegrade:
+		p.afterFault = true
+	case obs.EventJobArrive:
+		if p.afterFault {
+			p.afterFault = false
+			p.checkView(e)
+		}
 	}
-	p.faults++
+}
+
+// check fails the test on anything stale the probe saw, or when it saw
+// nothing to check.
+func (p *barrierProbe) check(t *testing.T, label string) {
+	t.Helper()
+	if p.faults == 0 || p.views == 0 {
+		t.Errorf("%s: probe too weak: %d faults, %d view checks", label, p.faults, p.views)
+	}
+	if len(p.stale) > 0 {
+		t.Errorf("%s: %d stale machine clocks or views, first: %s", label, len(p.stale), p.stale[0])
+	}
+}
+
+// checkView compares every eligible machine's cached view slots with the
+// signals recomputed from its live state plus its in-flight adjustments.
+// Idle cores and capacity must match exactly; queued work within float
+// rounding, since jobs routed since the last refresh add to the cached slot
+// one by one but to the in-flight total first.
+func (p *barrierProbe) checkView(e obs.Event) {
+	p.views++
+	v := &p.f.view
 	for _, n := range p.f.nodes {
-		if now := n.d.Server().Now(); now != e.Time {
-			p.stale = append(p.stale, fmt.Sprintf("machine %d at %v, fault at %v", n.idx, now, e.Time))
+		if !v.Eligible(n.idx) {
+			continue
+		}
+		server := n.d.Server()
+		queued := server.TotalLoad()
+		for _, j := range n.d.Waiting().Peek() {
+			queued += j.Remaining()
+		}
+		queued += n.inflightQW
+		idle := max(n.d.IdleCores()-n.inflightJobs, 0)
+		capacity := server.Capacity()
+		if math.Abs(v.queued[n.idx]-queued) > 1e-9*max(1, math.Abs(queued)) ||
+			v.idle[n.idx] != idle || v.capacity[n.idx] != capacity {
+			p.stale = append(p.stale, fmt.Sprintf(
+				"machine %d view at %v (%v): queued %v idle %d capacity %v, live queued %v idle %d capacity %v",
+				n.idx, e.Time, e.Type, v.queued[n.idx], v.idle[n.idx], v.capacity[n.idx],
+				queued, idle, capacity))
 		}
 	}
 }
@@ -127,7 +195,8 @@ func (p *barrierProbe) Observe(e obs.Event) {
 // shards. Every node's policy runs under an invariant checker, whose
 // settled rule holds the lazy settling to its contract: a policy always
 // sees its machine at the trigger instant. At every fault barrier, every
-// machine must sit at the barrier instant.
+// machine must sit at the barrier instant, and the dispatcher's view must
+// match every eligible machine's live state.
 func TestGeneratedChaosFleetUpholdsInvariants(t *testing.T) {
 	const machines = 20
 	node := sched.Defaults()
@@ -168,16 +237,13 @@ func TestGeneratedChaosFleetUpholdsInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Crashes == 0 || probe.faults == 0 {
-			t.Fatalf("%s: scenario too weak: %d crashes, %d faults probed", name, res.Crashes, probe.faults)
+		if res.Crashes == 0 {
+			t.Fatalf("%s: scenario too weak: no crashes", name)
 		}
 		if res.LostForever != 0 {
 			t.Errorf("%s: %d jobs lost forever", name, res.LostForever)
 		}
-		if len(probe.stale) > 0 {
-			t.Errorf("%s: %d machine clocks off their fault barrier, first: %s",
-				name, len(probe.stale), probe.stale[0])
-		}
+		probe.check(t, name)
 		cks.check(t, name)
 	}
 }

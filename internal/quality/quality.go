@@ -346,10 +346,12 @@ func NewAccumulator(f Function) *Accumulator {
 	return &Accumulator{f: f}
 }
 
-// Add records a finalized job with demand p of which c units were processed.
-func (a *Accumulator) Add(c, p float64) {
+// Add records a finalized job with demand p of which c units were
+// processed, and returns the terms it added: f(c) and f(p). A job without
+// demand adds nothing, is not counted, and returns zero terms.
+func (a *Accumulator) Add(c, p float64) (achieved, possible float64) {
 	if p <= 0 {
-		return
+		return 0, 0
 	}
 	if c > p {
 		c = p
@@ -357,8 +359,18 @@ func (a *Accumulator) Add(c, p float64) {
 	if c < 0 {
 		c = 0
 	}
-	a.achieved += a.f.Value(c)
-	a.possible += a.f.Value(p)
+	achieved, possible = a.f.Value(c), a.f.Value(p)
+	a.AddTerms(achieved, possible)
+	return achieved, possible
+}
+
+// AddTerms records one finalized job by the terms Add returned for it from
+// another accumulator over the same function, so a total merged from
+// per-machine monitors evaluates f once per job. It counts the job, so pass
+// only the terms of jobs with demand.
+func (a *Accumulator) AddTerms(achieved, possible float64) {
+	a.achieved += achieved
+	a.possible += possible
 	a.jobs++
 }
 

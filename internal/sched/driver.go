@@ -91,10 +91,20 @@ type wakeup struct {
 const rearmEpsilon = 1e-9
 
 // Final records one job leaving the machine: completed, expired, or shed.
+// Achieved and Possible are the terms f(processed) and f(demand) the
+// driver's quality monitor added for the job, so an owner merging quality
+// across machines adds the same terms without evaluating f again. Response
+// is the response time of a completed job and -1 for any other. An owner
+// buffers up to an epoch of records per machine, so the record stays small.
 type Final struct {
-	Job       *job.Job
-	Completed bool
+	Job      *job.Job
+	Achieved float64
+	Possible float64
+	Response float64
 }
+
+// Completed reports whether the job completed.
+func (r Final) Completed() bool { return r.Response >= 0 }
 
 // ModeStats is a driver's AES/BQ accounting.
 type ModeStats struct {
@@ -473,12 +483,11 @@ func (d *Driver) FailCore(now float64, core int) []machine.Entry {
 // counts only deliberate cuts (target below demand, set by LF cutting or
 // Quality-OPT), not deadline truncation.
 func (d *Driver) finalize(j *job.Job, reason machine.Reason) {
-	d.acc.Add(j.Processed, j.Demand)
 	if j.Target < j.Demand-1e-9 {
 		d.cutJobs++
 	}
 	completed := reason == machine.ReasonCompleted
-	d.fin = append(d.fin, Final{Job: j, Completed: completed})
+	d.record(j, completed)
 	if completed {
 		obs.Emit(d.obs, obs.Event{Time: j.Finish, Type: obs.EventJobComplete,
 			Core: j.Core, Job: j.ID, Value: j.Processed, Aux: j.Finish - j.Release})
@@ -495,10 +504,20 @@ func (d *Driver) Expire(j *job.Job, finish, at float64, core int) {
 	j.State = job.StateFinalized
 	j.Finish = finish
 	d.queueExpired++
-	d.acc.Add(j.Processed, j.Demand)
-	d.fin = append(d.fin, Final{Job: j})
+	d.record(j, false)
 	obs.Emit(d.obs, obs.Event{Time: at, Type: obs.EventJobExpire,
 		Core: core, Job: j.ID, Value: j.Processed, Aux: j.Demand})
+}
+
+// record adds a finalized job to the quality monitor and buffers its
+// finalization record.
+func (d *Driver) record(j *job.Job, completed bool) {
+	achieved, possible := d.acc.Add(j.Processed, j.Demand)
+	r := Final{Job: j, Achieved: achieved, Possible: possible, Response: -1}
+	if completed {
+		r.Response = j.Finish - j.Release
+	}
+	d.fin = append(d.fin, r)
 }
 
 // Finals returns the finalization records buffered since the last
@@ -589,8 +608,7 @@ func (d *Driver) shedLoad(now float64) {
 		j.State = job.StateFinalized
 		j.Finish = now
 		d.shed++
-		d.acc.Add(j.Processed, j.Demand)
-		d.fin = append(d.fin, Final{Job: j})
+		d.record(j, false)
 		obs.Emit(d.obs, obs.Event{Time: now, Type: obs.EventJobDrop,
 			Core: -1, Job: j.ID, Value: j.Processed, Aux: j.Demand})
 	}

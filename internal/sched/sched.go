@@ -575,8 +575,8 @@ func (r *Runner) handle(e *sim.Event) error {
 // last drain and empties the driver's finalization buffer.
 func (r *Runner) drainFinals() {
 	for _, f := range r.d.Finals() {
-		if f.Completed {
-			r.responses = append(r.responses, f.Job.Finish-f.Job.Release)
+		if f.Completed() {
+			r.responses = append(r.responses, f.Response)
 		}
 	}
 	r.d.ClearFinals()
