@@ -81,6 +81,7 @@ fuzz:
 	$(GO) test -fuzz FuzzWaterFill -fuzztime 30s ./internal/dist/
 	$(GO) test -fuzz FuzzAllocateEDF -fuzztime 30s ./internal/qopt/
 	$(GO) test -fuzz FuzzKernelVsReference -fuzztime 30s ./internal/sim/
+	$(GO) test -fuzz FuzzQuantile -fuzztime 30s ./internal/stats/
 	$(GO) test -fuzz FuzzReadTrace -fuzztime 30s ./internal/workload/
 	$(GO) test -fuzz FuzzGenerate -fuzztime 30s ./internal/faults/
 	$(GO) test -fuzz FuzzGenerateCluster -fuzztime 30s ./internal/faults/

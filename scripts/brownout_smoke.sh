@@ -20,7 +20,15 @@ GATE=${GATE:-127.0.0.1:8380}
 QGE=0.9
 TMP=$(mktemp -d)
 PIDS=""
-trap 'kill $PIDS 2>/dev/null; rm -rf "$TMP"' EXIT
+# A kill of a process that already exited fails; guarded, it can neither
+# set the exit status nor skip the rm under set -e.
+cleanup() {
+    for pid in $PIDS; do
+        kill "$pid" 2>/dev/null || true
+    done
+    rm -rf "$TMP"
+}
+trap cleanup EXIT
 
 go build -o "$TMP/geserve" ./cmd/geserve
 go build -o "$TMP/gegate" ./cmd/gegate
