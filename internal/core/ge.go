@@ -94,9 +94,9 @@ type GE struct {
 		batch    []*job.Job
 		loads    []float64
 		perCore  [][]*job.Job
+		queue    [][]*job.Job
 		all      []*job.Job
-		edf      []*job.Job
-		demands  []float64
+		needs    []float64
 		peaks    []float64
 		free     []int
 		compact  []float64
@@ -195,7 +195,7 @@ func (g *GE) Reset() {
 	// Drop the job-pointer-holding scratch so a finished run's jobs are not
 	// pinned across runs; the float buffers are harmless to keep.
 	sc := &g.scratch
-	sc.batch, sc.all, sc.edf, sc.perCore = nil, nil, nil, nil
+	sc.batch, sc.all, sc.perCore, sc.queue = nil, nil, nil, nil
 	sc.entries, sc.plan = nil, nil
 }
 
@@ -272,7 +272,7 @@ func (g *GE) Schedule(ctx *sched.Context) {
 		sc.all = all
 		if g.inAES {
 			before := g.snapTargets(ctx, all)
-			sc.cutter.LongestFirst(all, cfg.Quality, g.opts.Target)
+			sc.cutter.Cut(all, cfg.Quality, g.opts.Target)
 			emitCuts(ctx, now, all, before)
 		} else {
 			cut.Restore(all)
@@ -284,7 +284,7 @@ func (g *GE) Schedule(ctx *sched.Context) {
 			}
 			if g.inAES {
 				before := g.snapTargets(ctx, perCore[i])
-				sc.cutter.LongestFirst(perCore[i], cfg.Quality, g.opts.Target)
+				sc.cutter.Cut(perCore[i], cfg.Quality, g.opts.Target)
 				emitCuts(ctx, now, perCore[i], before)
 			} else {
 				cut.Restore(perCore[i])
@@ -297,6 +297,9 @@ func (g *GE) Schedule(ctx *sched.Context) {
 	// surviving cores. Stuck-DVFS cores run at their wedged speed no
 	// matter what the scheduler wants, so their draw is reserved off the
 	// top and the remainder is distributed over the free healthy cores.
+	// Each healthy core's jobs are sorted into EDF order here, in place,
+	// and its uncapped YDS peak is kept in needs: step 6 plans from both.
+	// A stable in-place sort yields exactly the order a sorted copy has.
 	budget := ctx.Budget
 	if budget <= 0 {
 		budget = cfg.PowerBudget
@@ -304,15 +307,29 @@ func (g *GE) Schedule(ctx *sched.Context) {
 	if g.opts.BudgetOverride > 0 && g.opts.BudgetOverride < budget {
 		budget = g.opts.BudgetOverride
 	}
-	demands := growFloats(sc.demands, cfg.Cores)
+	needs := growFloats(sc.needs, cfg.Cores)
 	peaks := growFloats(sc.peaks, cfg.Cores)
-	sc.demands, sc.peaks = demands, peaks
+	sc.needs, sc.peaks = needs, peaks
+	if ctx.Observer != nil && len(sc.queue) < cfg.Cores {
+		queue := make([][]*job.Job, cfg.Cores)
+		copy(queue, sc.queue)
+		sc.queue = queue
+	}
 	stuckDraw := 0.0
 	for i := range perCore {
 		coreModel := cfg.ModelFor(i)
 		core := ctx.Server.Cores[i]
 		if !core.Healthy() {
 			continue // dead cores demand nothing
+		}
+		if jobs := perCore[i]; len(jobs) > 0 {
+			// EventJobCut is emitted in queue order (part of the golden
+			// trace), so an observer keeps that order for step 6.
+			if ctx.Observer != nil {
+				sc.queue[i] = append(sc.queue[i][:0], jobs...)
+			}
+			job.SortEDF(jobs)
+			needs[i] = yds.PeakSpeedEDF(now, jobs)
 		}
 		if s := core.StuckSpeed(); s > 0 {
 			if len(perCore[i]) > 0 {
@@ -325,12 +342,11 @@ func (g *GE) Schedule(ctx *sched.Context) {
 		if g.opts.SpeedCap > 0 && g.opts.SpeedCap < maxSpeed {
 			maxSpeed = g.opts.SpeedCap
 		}
-		peak := g.peakSpeed(now, perCore[i])
+		peak := needs[i]
 		if peak > maxSpeed {
 			peak = maxSpeed
 		}
 		peaks[i] = peak
-		demands[i] = coreModel.Power(peak)
 	}
 	free := sc.free[:0]
 	for _, i := range eligible {
@@ -352,7 +368,7 @@ func (g *GE) Schedule(ctx *sched.Context) {
 	compact := growFloats(sc.compact, len(free))
 	sc.compact = compact
 	for k, i := range free {
-		compact[k] = demands[i]
+		compact[k] = cfg.ModelFor(i).Power(peaks[i])
 	}
 	compactAlloc := sc.filler.Distribute(g.opts.Dist, distributable, compact, heavy)
 	alloc := growFloats(sc.alloc, cfg.Cores)
@@ -379,10 +395,11 @@ func (g *GE) Schedule(ctx *sched.Context) {
 
 	// 6. Per-core second cut + Energy-OPT plan. Dead cores keep an empty
 	// plan; stuck cores plan at their wedged speed (the hardware ignores
-	// any other request).
+	// any other request). perCore[i] is in EDF order since step 5, and it
+	// serves the Quality-OPT cut and the plan layout.
 	for i, c := range ctx.Server.Cores {
-		jobs := perCore[i]
-		if !c.Healthy() || len(jobs) == 0 {
+		edf := perCore[i]
+		if !c.Healthy() || len(edf) == 0 {
 			c.SetPlan(nil)
 			continue
 		}
@@ -396,13 +413,6 @@ func (g *GE) Schedule(ctx *sched.Context) {
 		if s := c.StuckSpeed(); s > 0 {
 			speedCap = s
 		}
-		// One EDF-sorted copy of the core's jobs serves the peak query,
-		// the Quality-OPT cut, and the plan layout. Stable-sorting a copy
-		// yields exactly the order the per-call sorts used to produce, so
-		// the schedule is bit-identical to the allocating path.
-		edf := append(sc.edf[:0], jobs...)
-		job.SortEDF(edf)
-		sc.edf = edf
 		entries := sc.entries[:0]
 		if speedCap <= 0 {
 			// No power granted: park the jobs; they expire at deadlines.
@@ -413,13 +423,16 @@ func (g *GE) Schedule(ctx *sched.Context) {
 			c.SetPlan(entries) // SetPlan copies; entries stays reusable
 			continue
 		}
-		// snapTargets/emitCuts walk `jobs` (queue order), not `edf`: the
-		// emission order of EventJobCut within one trigger is part of the
-		// golden trace.
-		if yds.PeakSpeedEDF(now, edf) > speedCap*(1+1e-9) {
-			before := g.snapTargets(ctx, jobs)
+		// Only this core's Quality-OPT moves its jobs' targets, so the peak
+		// step 5 kept is still the peak of edf.
+		if needs[i] > speedCap*(1+1e-9) {
+			queue := edf
+			if ctx.Observer != nil {
+				queue = sc.queue[i]
+			}
+			before := g.snapTargets(ctx, queue)
 			_, sc.budgets = qopt.AllocateEDF(now, edf, power.Rate(speedCap), sc.budgets)
-			emitCuts(ctx, now, jobs, before)
+			emitCuts(ctx, now, queue, before)
 		}
 		if cfg.Ladder != nil {
 			// Core-level constant discrete speed, EDF order.
@@ -476,18 +489,6 @@ func (g *GE) monitoredQuality(ctx *sched.Context) float64 {
 
 // InAES reports the current mode (tests and diagnostics).
 func (g *GE) InAES() bool { return g.inAES }
-
-// peakSpeed is yds.PeakSpeed via the scratch EDF buffer: copy, stable-sort,
-// query — no per-call allocation.
-func (g *GE) peakSpeed(now float64, jobs []*job.Job) float64 {
-	if len(jobs) == 0 {
-		return 0
-	}
-	edf := append(g.scratch.edf[:0], jobs...)
-	job.SortEDF(edf)
-	g.scratch.edf = edf
-	return yds.PeakSpeedEDF(now, edf)
-}
 
 // snapTargets records the jobs' targets before a cutting pass so the diffs
 // can be emitted as EventJobCut. Returns nil (and emitCuts no-ops) when no

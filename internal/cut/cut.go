@@ -59,14 +59,77 @@ type Cutter struct {
 // qge >= 1 restores every target to the full demand and cuts nothing.
 // An empty batch returns a perfect-quality result.
 func (c *Cutter) LongestFirst(jobs []*job.Job, f quality.Function, qge float64) Result {
-	if len(jobs) == 0 {
+	cutCount, exact, fullQ := c.level(jobs, f, qge)
+	if fullQ == 0 {
 		return Result{Quality: 1}
+	}
+	// Every cut job whose floor does not bind lands exactly on the cut
+	// level, so f(exact) is evaluated once for the pass.
+	fExact := f.Value(exact)
+	res := Result{}
+	achieved := 0.0
+	for rank, idx := range c.order {
+		j := jobs[idx]
+		old := j.Target
+		setTarget(j, rank < cutCount, exact)
+		if j.Target < j.Demand-1e-12 {
+			res.Cut++
+		}
+		if j.Target < old {
+			res.WorkRemoved += old - j.Target
+		}
+		switch j.Target {
+		case j.Demand:
+			achieved += c.fvals[idx] // memoized, identical to f.Value(Target)
+		case exact:
+			achieved += fExact
+		default:
+			achieved += f.Value(j.Target)
+		}
+	}
+	res.Quality = achieved / fullQ
+	return res
+}
+
+// Cut sets exactly the targets LongestFirst sets, without summing the
+// Result: the scheduler discards it, and the sum costs an f evaluation per
+// pass.
+func (c *Cutter) Cut(jobs []*job.Job, f quality.Function, qge float64) {
+	cutCount, exact, fullQ := c.level(jobs, f, qge)
+	if fullQ == 0 {
+		return
+	}
+	for rank, idx := range c.order {
+		setTarget(jobs[idx], rank < cutCount, exact)
+	}
+}
+
+// setTarget applies one job's LF target: the cut level when the job is in
+// the cut group, its full demand otherwise, floored at its processed volume.
+func setTarget(j *job.Job, cut bool, exact float64) {
+	want := j.Demand
+	if cut {
+		want = exact
+	}
+	j.RestoreTarget()
+	j.SetTarget(want) // clamps to [Processed, Demand]
+}
+
+// level runs LF's level walk. It leaves c.order sorted longest first and
+// c.fvals holding each job's f(demand), and returns the size of the cut
+// group (the first cutCount jobs of c.order), the exact cut level, and the
+// batch's full quality mass Σf(p_j). A zero mass means there is nothing to
+// apply: the batch is empty, qge >= 1 (every target is restored here), or
+// no job has quality mass (the targets stay as they are).
+func (c *Cutter) level(jobs []*job.Job, f quality.Function, qge float64) (cutCount int, exact, fullQ float64) {
+	if len(jobs) == 0 {
+		return 0, 0, 0
 	}
 	if qge >= 1 {
 		for _, j := range jobs {
 			j.RestoreTarget()
 		}
-		return Result{Quality: 1}
+		return 0, 0, 0
 	}
 	if qge < 0 {
 		qge = 0
@@ -78,7 +141,6 @@ func (c *Cutter) LongestFirst(jobs []*job.Job, f quality.Function, qge float64) 
 	c.demands = c.demands[:0]
 	c.fvals = c.fvals[:0]
 	c.order = c.order[:0]
-	fullQ := 0.0 // Σ f(p_j)
 	for i, j := range jobs {
 		c.demands = append(c.demands, j.Demand)
 		v := f.Value(j.Demand)
@@ -89,7 +151,7 @@ func (c *Cutter) LongestFirst(jobs []*job.Job, f quality.Function, qge float64) 
 	demands, fvals, order := c.demands, c.fvals, c.order
 	if fullQ == 0 {
 		// Nothing has any quality mass; leave targets alone.
-		return Result{Quality: 1}
+		return 0, 0, 0
 	}
 	// Stable sort so demand ties keep input order — LF's tie-break is part
 	// of the deterministic contract.
@@ -113,7 +175,6 @@ func (c *Cutter) LongestFirst(jobs []*job.Job, f quality.Function, qge float64) 
 	// curQ tracks Σ f(target) under the hypothetical cut. The level is
 	// always some job's demand (or 0), so f(level)/f(next) come from the
 	// memoized fvals instead of fresh evaluations.
-	cutCount := 0
 	level := demands[order[0]]
 	fLevel := fvals[order[0]]
 	curQ := fullQ
@@ -147,46 +208,13 @@ func (c *Cutter) LongestFirst(jobs []*job.Job, f quality.Function, qge float64) 
 		uncutQ += fvals[order[i]]
 	}
 	perJobQ := (targetSum - uncutQ) / float64(cutCount)
-	var exact float64
 	switch {
 	case perJobQ <= 0:
 		exact = 0
 	default:
 		exact = f.Inverse(perJobQ)
 	}
-
-	// Apply targets with processed-volume floors. Every cut job whose floor
-	// does not bind lands exactly on the cut level, so f(exact) is
-	// evaluated once for the pass.
-	fExact := f.Value(exact)
-	res := Result{}
-	achieved := 0.0
-	for rank, idx := range order {
-		j := jobs[idx]
-		want := j.Demand
-		if rank < cutCount {
-			want = exact
-		}
-		old := j.Target
-		j.RestoreTarget()
-		j.SetTarget(want) // clamps to [Processed, Demand]
-		if j.Target < j.Demand-1e-12 {
-			res.Cut++
-		}
-		if j.Target < old {
-			res.WorkRemoved += old - j.Target
-		}
-		switch j.Target {
-		case j.Demand:
-			achieved += fvals[idx] // memoized, identical to f.Value(Target)
-		case exact:
-			achieved += fExact
-		default:
-			achieved += f.Value(j.Target)
-		}
-	}
-	res.Quality = achieved / fullQ
-	return res
+	return cutCount, exact, fullQ
 }
 
 // LongestFirst is the stand-alone form for callers without a reusable

@@ -114,18 +114,17 @@ func (f *Filler) WaterFill(h float64, demands []float64) []float64 {
 		f.pairs = append(f.pairs, wfPair{idx: i, demand: d})
 	}
 	cores := f.pairs
-	// Stable: equal demands keep index order, like the original
-	// sort.SliceStable this replaces.
-	slices.SortStableFunc(cores, func(a, b wfPair) int {
-		switch {
-		case a.demand < b.demand:
-			return -1
-		case a.demand > b.demand:
-			return 1
-		default:
-			return 0
+	// Stable insertion sort by demand, so equal demands keep index order. A
+	// machine has a few dozen cores, where this beats a generic sort that
+	// calls a comparator.
+	for i := 1; i < m; i++ {
+		p := cores[i]
+		k := i
+		for ; k > 0 && cores[k-1].demand > p.demand; k-- {
+			cores[k] = cores[k-1]
 		}
-	})
+		cores[k] = p
+	}
 
 	remaining := h
 	for i := 0; i < m; i++ {
