@@ -367,7 +367,9 @@ func (d *Driver) trimWindow(now float64) {
 
 // rearmIdle arms one KindCoreIdle wakeup per busy healthy core, rearmEpsilon
 // past its projected drain time. A wakeup whose projected time is unchanged
-// stays armed, so replanning one core does not churn the others' events.
+// stays armed, so replanning one core does not churn the others' events; a
+// moved one is rescheduled in place, which delivers it exactly where a
+// cancel and a fresh schedule would.
 func (d *Driver) rearmIdle(now float64) {
 	for i, c := range d.server.Cores {
 		if c.Idle() || !c.Healthy() {
@@ -382,6 +384,10 @@ func (d *Driver) rearmIdle(now float64) {
 		slot := &d.idle[i]
 		if slot.id != 0 {
 			if slot.at == at {
+				continue
+			}
+			if ok, err := d.engine.Reschedule(slot.id, at); ok && err == nil {
+				slot.at = at
 				continue
 			}
 			d.disarm(i)

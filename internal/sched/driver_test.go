@@ -284,3 +284,69 @@ func TestArrivalTriggersSettle(t *testing.T) {
 		last(t, p, TriggerIdleCore, drain)
 	})
 }
+
+// A replan that moves a core's drain reschedules its armed idle wakeup in
+// place, keeping the handle; a wakeup the owner already delivered without
+// passing it to Wake is replaced by a fresh one.
+func TestRearmIdleReschedulesOrReplaces(t *testing.T) {
+	cfg := Defaults()
+	cfg.Cores = 1
+	var woke []float64
+	engine := sim.NewEngine(func(e *sim.Event) error {
+		if e.Kind == sim.KindCoreIdle {
+			woke = append(woke, e.Time) // delivered, but not passed to Wake
+		}
+		return nil
+	})
+	d, err := NewDriver(&cfg, &pinPolicy{speed: 1}, -1, engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Enqueue(0, job.New(0, 0, 10, 500)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Invoke(0, TriggerCounter); err != nil {
+		t.Fatal(err)
+	}
+	armed := d.idle[0]
+	if armed.id == 0 || engine.Pending() != 1 {
+		t.Fatalf("idle wakeup %+v, %d pending; want one idle wakeup armed", armed, engine.Pending())
+	}
+
+	// A wedged DVFS at twice the speed halves the drain.
+	d.Server().Cores[0].SetStuck(2)
+	if err := d.Invoke(0.1, TriggerFault); err != nil {
+		t.Fatal(err)
+	}
+	moved := d.idle[0]
+	if moved.id != armed.id || moved.at >= armed.at || engine.Pending() != 1 {
+		t.Fatalf("after the replan: wakeup %+v (was %+v), %d pending; want the same handle, earlier, alone",
+			moved, armed, engine.Pending())
+	}
+	if err := engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(woke) != 1 || woke[0] != moved.at {
+		t.Fatalf("idle wakeups delivered at %v, want one at %v", woke, moved.at)
+	}
+
+	// The delivered wakeup is still armed in the driver: the next replan
+	// must schedule a fresh one.
+	now := engine.Now()
+	if err := d.Enqueue(now, job.New(1, now, now+10, 500)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Invoke(now, TriggerCounter); err != nil {
+		t.Fatal(err)
+	}
+	fresh := d.idle[0]
+	if fresh.id == 0 || fresh.id == moved.id || fresh.at <= now {
+		t.Fatalf("after a delivered wakeup: %+v (delivered %+v); want a fresh wakeup after %v", fresh, moved, now)
+	}
+	if err := engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(woke) != 2 || woke[1] != fresh.at {
+		t.Fatalf("idle wakeups delivered at %v, want a second at %v", woke, fresh.at)
+	}
+}

@@ -9,11 +9,13 @@ import (
 // This file checks the index-addressable 4-ary heap and the ordered lane
 // against an independent reference model built on container/heap — the
 // implementation the kernel replaced, in which a post is an ordinary event
-// with the same seq. Both sides receive the identical operation stream
-// (schedule, cancel, post, deliver) and must produce the identical delivery
-// sequence under the (time, priority, seq) total order. The fuzz target
-// explores cancel-heavy interleavings; TestKernelVsReferenceRandom replays
-// fixed pseudorandom streams on every plain `go test` run.
+// with the same seq, and a reschedule is a cancel plus a schedule of the
+// same event that takes the next seq. Both sides receive the identical
+// operation stream (schedule, cancel, post, reschedule, deliver) and must
+// produce the identical delivery sequence under the (time, priority, seq)
+// total order. The fuzz target explores cancel-heavy interleavings;
+// TestKernelVsReferenceRandom replays fixed pseudorandom streams on every
+// plain `go test` run.
 
 // refEvent mirrors one scheduled event in the reference model.
 type refEvent struct {
@@ -68,6 +70,10 @@ type kernelHarness struct {
 	// post, which a new post must not order before while any is pending.
 	posts    int
 	lastPost *refEvent
+
+	// dead holds the handles of delivered and cancelled events, which
+	// Cancel and Reschedule must refuse even after their slots are reused.
+	dead []EventID
 }
 
 func newKernelHarness(t *testing.T) *kernelHarness {
@@ -122,6 +128,58 @@ func (h *kernelHarness) cancel(k int) {
 	}
 	entry.ev.cancelled = true
 	h.live = append(h.live[:k], h.live[k+1:]...)
+	h.dead = append(h.dead, entry.id)
+}
+
+// reschedule moves live entry k to now+dt in place. On the reference it is
+// a cancel plus a schedule of the same event that takes the next seq; the
+// engine's handle stays valid.
+func (h *kernelHarness) reschedule(k int, dt float64) {
+	entry := &h.live[k]
+	t := h.eng.Now() + dt
+	pending, processed := h.eng.Pending(), h.eng.Processed
+	ok, err := h.eng.Reschedule(entry.id, t)
+	if !ok || err != nil {
+		h.t.Fatalf("Reschedule(%v, %v) of a live event = %v, %v", entry.id, t, ok, err)
+	}
+	if h.eng.Pending() != pending || h.eng.Processed != processed {
+		h.t.Fatalf("Reschedule changed Pending %d -> %d or Processed %d -> %d",
+			pending, h.eng.Pending(), processed, h.eng.Processed)
+	}
+	old := entry.ev
+	old.cancelled = true
+	ev := &refEvent{time: t, priority: old.priority, seq: h.seq, kind: old.kind, core: old.core, ref: old.ref}
+	h.seq++
+	heap.Push(&h.ref, ev)
+	entry.ev = ev
+}
+
+// rescheduleRefused tries a reschedule that must change nothing: of a
+// delivered or cancelled handle, of the zero handle, or of a live event to
+// a time before now. The first two return false, the last an error.
+func (h *kernelHarness) rescheduleRefused(pick byte, dt float64) {
+	pending := h.eng.Pending()
+	now := h.eng.Now()
+	switch {
+	case pick%3 == 0 && len(h.dead) > 0:
+		id := h.dead[int(pick/3)%len(h.dead)]
+		if ok, err := h.eng.Reschedule(id, now+dt); ok || err != nil {
+			h.t.Fatalf("Reschedule of dead handle %v = %v, %v; want false, nil", id, ok, err)
+		}
+	case pick%3 == 1 && len(h.live) > 0:
+		id := h.live[int(pick/3)%len(h.live)].id
+		if ok, err := h.eng.Reschedule(id, now-dt-0.125); ok || err == nil {
+			h.t.Fatalf("Reschedule of %v before now %v = %v, %v; want an error", id, now, ok, err)
+		}
+	default:
+		if ok, err := h.eng.Reschedule(0, now+dt); ok || err != nil {
+			h.t.Fatalf("Reschedule of the zero handle = %v, %v; want false, nil", ok, err)
+		}
+	}
+	if h.eng.Pending() != pending || h.eng.Now() != now {
+		h.t.Fatalf("a refused Reschedule changed Pending %d -> %d or now %v -> %v",
+			pending, h.eng.Pending(), now, h.eng.Now())
+	}
 }
 
 // post appends one event to the lane and adds it to the reference as an
@@ -208,6 +266,7 @@ func (h *kernelHarness) step() {
 				h.t.Fatalf("Cancel of already-delivered event %v returned true", entry.id)
 			}
 			h.live = append(h.live[:k], h.live[k+1:]...)
+			h.dead = append(h.dead, entry.id)
 			break
 		}
 	}
@@ -218,11 +277,13 @@ func (h *kernelHarness) liveCount() int {
 }
 
 // run interprets a byte stream as an operation program. The op mix is
-// deliberately cancel-heavy (2 schedule : 2 cancel : 2 step : 2 post in
-// expectation, with cancel falling through to step when nothing is live)
-// because cancellation is where slot reuse, swap-removal, and generation
-// tagging can go wrong. Posts land on or just after the earliest legal
-// instant, so they often tie heap events on time and priority.
+// deliberately cancel-heavy (2 schedule : 2 cancel : 2 step : 2 post :
+// 2 reschedule in expectation, with cancel falling through to step when
+// nothing is live) because cancellation is where slot reuse, swap-removal,
+// and generation tagging can go wrong. Posts land on or just after the
+// earliest legal instant, so they often tie heap events on time and
+// priority; reschedules move an event earlier or later on the same grid,
+// and now and then try a dead handle or a time before now.
 func runKernelProgram(t *testing.T, data []byte) {
 	h := newKernelHarness(t)
 	kinds := []Kind{KindArrival, KindDeadline, KindCoreIdle, KindQuantum, KindUser}
@@ -236,7 +297,7 @@ func runKernelProgram(t *testing.T, data []byte) {
 		return b
 	}
 	for i < len(data) {
-		op := next() % 8
+		op := next() % 10
 		switch {
 		case op < 2: // schedule
 			dt := float64(next()%64) * 0.125
@@ -255,13 +316,20 @@ func runKernelProgram(t *testing.T, data []byte) {
 			}
 		case op < 6:
 			h.step()
-		default: // post, or now and then a post before now
+		case op < 8: // post, or now and then a post before now
 			dt := float64(next()%4) * 0.125
 			kind := kinds[int(next())%len(kinds)]
 			if b := next(); b%16 == 0 {
 				h.postPast(dt + 0.125)
 			} else {
 				h.post(dt, kind, int(b%8))
+			}
+		default: // reschedule a live event, or now and then a refused one
+			dt := float64(next()%64) * 0.125
+			if b := next(); b%4 == 0 || h.liveCount() == 0 {
+				h.rescheduleRefused(next(), dt)
+			} else {
+				h.reschedule(int(next())%h.liveCount(), dt)
 			}
 		}
 	}
