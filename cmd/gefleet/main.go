@@ -143,7 +143,7 @@ func main() {
 		chaos       = flag.String("chaos", "", "machine fault schedule JSON (inline or @file)")
 		mtbf        = flag.Float64("machine-mtbf", 0, "mean time between machine crashes (s, 0 = off)")
 		mttr        = flag.Float64("machine-mttr", 0, "mean machine repair time for -machine-mtbf (s)")
-		shards      = flag.Int("shards", 0, "event-heap shards (0 = auto: min(GOMAXPROCS, machines/8); 1 = sequential); results are byte-identical for every value")
+		shards      = flag.Int("shards", 0, "event-heap shards (0 = auto: min(GOMAXPROCS, machines/8), raised to ceil(machines/128); 1 = sequential); results are byte-identical for every value")
 
 		compare   = flag.Bool("compare", false, "run every dispatch policy and print a comparison table")
 		csv       = flag.Bool("csv", false, "emit a single CSV row instead of text")

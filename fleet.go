@@ -48,8 +48,9 @@ type FleetConfig struct {
 	// Shards is the worker-shard count K: machines are partitioned into K
 	// contiguous shards, each advancing on a private event heap between
 	// global dispatcher barriers. 0 auto-sizes to min(GOMAXPROCS,
-	// Machines/8) with a floor of one; 1 is the sequential path. Results
-	// and event streams are byte-identical for every K.
+	// Machines/8), raised to ⌈Machines/128⌉, with a floor of one; 1 is the
+	// sequential path. Results and event streams are byte-identical for
+	// every K.
 	Shards int
 }
 

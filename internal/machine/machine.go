@@ -95,9 +95,6 @@ func (c *Core) noteSpeed(t, s float64) {
 	c.obs.Observe(obs.Event{Time: t, Type: obs.EventCoreSpeed, Core: c.Index, Job: -1, Value: s})
 }
 
-// NewCore returns an idle core starting its clock at 0.
-func NewCore(index int) *Core { return &Core{Index: index} }
-
 // Now returns the core's local clock (kept in lockstep by the server).
 func (c *Core) Now() float64 { return c.now }
 
@@ -450,7 +447,9 @@ func NewServer(m int, model power.Model) (*Server, error) {
 	return NewHeterogeneousServer(models)
 }
 
-// NewHeterogeneousServer builds a server with one core per model.
+// NewHeterogeneousServer builds a server with one core per model. The cores
+// share one backing array: one allocation instead of one per core, and a
+// machine's cores sit next to each other in memory.
 func NewHeterogeneousServer(models []power.Model) (*Server, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("machine: need at least one core")
@@ -465,8 +464,10 @@ func NewHeterogeneousServer(models []power.Model) (*Server, error) {
 		Models: append([]power.Model(nil), models...),
 		Cores:  make([]*Core, len(models)),
 	}
-	for i := range s.Cores {
-		s.Cores[i] = NewCore(i)
+	cores := make([]Core, len(models))
+	for i := range cores {
+		cores[i].Index = i
+		s.Cores[i] = &cores[i]
 	}
 	return s, nil
 }

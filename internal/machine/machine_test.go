@@ -11,6 +11,9 @@ import (
 
 func model() power.Model { return power.Default() }
 
+// NewCore returns an idle core starting its clock at 0, outside any server.
+func NewCore(index int) *Core { return &Core{Index: index} }
+
 func bind(j *job.Job, core int) *job.Job {
 	j.Core = core
 	j.State = job.StateAssigned
@@ -30,6 +33,31 @@ func TestNewServerValidation(t *testing.T) {
 	}
 	if s.M() != 16 {
 		t.Fatalf("M = %d", s.M())
+	}
+}
+
+// A server's cores share one backing array, so construction allocates as
+// much for 64 cores as for one, and every core still knows its index.
+func TestNewServerAllocatesCoresOnce(t *testing.T) {
+	build := func(m int) func() {
+		return func() {
+			if _, err := NewServer(m, model()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	one, many := testing.AllocsPerRun(20, build(1)), testing.AllocsPerRun(20, build(64))
+	if many != one {
+		t.Fatalf("NewServer allocates %v times for 64 cores, %v for one", many, one)
+	}
+	s, err := NewServer(16, model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range s.Cores {
+		if c.Index != i || !c.Idle() || !c.Healthy() {
+			t.Fatalf("core %d: index %d, idle %v, healthy %v", i, c.Index, c.Idle(), c.Healthy())
+		}
 	}
 }
 
