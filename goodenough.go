@@ -812,17 +812,21 @@ func (cfg Config) compile() (sched.Config, sched.Policy, error) {
 	case len(cfg.Faults) > 0:
 		specs := make([]faults.Spec, len(cfg.Faults))
 		for i, f := range cfg.Faults {
-			kind, err := faults.ParseKind(f.Kind)
+			kind, err := faults.ParseKind(faults.Cores, f.Kind)
 			if err != nil {
 				return sched.Config{}, nil,
 					fmt.Errorf("goodenough: fault %d: %w", i, err)
 			}
+			value := f.Watts
+			if kind == faults.SpeedStuck {
+				value = f.SpeedGHz
+			}
 			specs[i] = faults.Spec{
-				At: f.AtSec, Kind: kind, Core: f.Core,
-				Duration: f.DurationSec, Watts: f.Watts, Speed: f.SpeedGHz,
+				At: f.AtSec, Kind: kind, Target: f.Core,
+				Duration: f.DurationSec, Value: value,
 			}
 		}
-		fs, err := faults.New(specs, cores)
+		fs, err := faults.New(faults.Cores, specs, cores, 0)
 		if err != nil {
 			return sched.Config{}, nil, fmt.Errorf("goodenough: %w", err)
 		}

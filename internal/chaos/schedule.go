@@ -6,9 +6,10 @@
 //
 // The schedule format mirrors internal/faults: a Spec names an onset time,
 // a Kind, and a Duration (0 = permanent); New expands and validates a Spec
-// list, and Generate draws an MTBF/MTTR renewal process from the repo's
-// stable rng, so the same (seed, horizon, mtbf, mttr, kind) tuple yields
-// the same outage windows on every run and platform. That determinism is
+// list, and Generate draws its windows from the fault model's MTBF/MTTR
+// renewal loop (faults.Renewal) on the repo's stable rng, so the same
+// (seed, horizon, mtbf, mttr, kind) tuple yields the same outage windows on
+// every run and platform. That determinism is
 // what lets integration tests and CI assert exact failover behavior
 // instead of hoping the network misbehaves on cue.
 package chaos
@@ -18,6 +19,7 @@ import (
 	"math"
 	"sort"
 
+	"goodenough/internal/faults"
 	"goodenough/internal/rng"
 )
 
@@ -147,30 +149,15 @@ func New(specs []Spec) (*Schedule, error) {
 	return &Schedule{specs: out}, nil
 }
 
-// Generate draws outage windows from an alternating up/down renewal
-// process — up for Exp(1/mtbf), down (injecting kind) for Exp(1/mttr) —
-// until the horizon, deterministically for a fixed seed. Latency windows
-// get the supplied delay/jitter; HTTPError windows get code 503.
+// Generate draws outage windows from the fault model's up/down renewal
+// process (faults.Renewal) — up for Exp(1/mtbf), down (injecting kind) for
+// Exp(1/mttr) — until the horizon, deterministically for a fixed seed.
+// Latency windows get the supplied delay/jitter; HTTPError windows get code
+// 503.
 func Generate(seed uint64, horizon, mtbf, mttr float64, kind Kind, delay, jitter float64) (*Schedule, error) {
-	if math.IsNaN(horizon) || math.IsInf(horizon, 0) || horizon <= 0 {
-		return nil, fmt.Errorf("chaos: generator horizon %v must be finite and positive", horizon)
-	}
-	if math.IsNaN(mtbf) || mtbf <= 0 {
-		return nil, fmt.Errorf("chaos: MTBF %v must be positive", mtbf)
-	}
-	if math.IsNaN(mttr) || mttr <= 0 {
-		return nil, fmt.Errorf("chaos: MTTR %v must be positive", mttr)
-	}
-	src := rng.New(seed ^ 0xc4a05bad5eed)
 	var specs []Spec
-	t := 0.0
-	for {
-		t += src.Exp(1 / mtbf)
-		if t >= horizon {
-			break
-		}
-		down := src.Exp(1 / mttr)
-		spec := Spec{At: t, Kind: kind, Duration: down}
+	err := faults.Renewal(rng.New(seed^0xc4a05bad5eed), horizon, mtbf, mttr, func(at, down float64) {
+		spec := Spec{At: at, Kind: kind, Duration: down}
 		switch kind {
 		case Latency:
 			spec.Delay, spec.Jitter = delay, jitter
@@ -178,7 +165,9 @@ func Generate(seed uint64, horizon, mtbf, mttr float64, kind Kind, delay, jitter
 			spec.Code = 503
 		}
 		specs = append(specs, spec)
-		t += down
+	})
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
 	return New(specs)
 }

@@ -57,9 +57,9 @@ type Config struct {
 	Dispatch Dispatcher
 	// Workload is the fleet-wide arrival stream, routed job by job.
 	Workload workload.Spec
-	// Faults, when non-nil, injects machine-scoped fault events (crash,
-	// partition, degrade, and their recoveries).
-	Faults *faults.ClusterSchedule
+	// Faults, when non-nil, injects a machine-scope schedule's fault
+	// events (crash, partition, degrade, and their recoveries).
+	Faults *faults.Schedule
 	// RedispatchLimit caps per-job re-dispatches (0 means
 	// DefaultRedispatchLimit).
 	RedispatchLimit int
@@ -102,7 +102,7 @@ func (c Config) Validate() error {
 	if err := c.Workload.Validate(); err != nil {
 		return err
 	}
-	if err := c.Faults.Validate(c.Machines); err != nil {
+	if err := c.Faults.Validate(faults.Machines, c.Machines); err != nil {
 		return fmt.Errorf("cluster: fault schedule: %w", err)
 	}
 	if c.RedispatchLimit < 0 {
@@ -339,7 +339,7 @@ type Fleet struct {
 	decisions obs.DecisionSink
 	idleSink  idleNotifier
 
-	faultEvents []faults.MachineEvent
+	faultEvents []faults.Event
 	nextArrival *job.Job
 	genDone     bool
 
@@ -463,7 +463,7 @@ func (f *Fleet) Run() (Result, error) {
 	// before any arrival or quantum tick at the same instant.
 	f.faultEvents = f.cfg.Faults.Events()
 	for i, fe := range f.faultEvents {
-		if _, err := f.global.ScheduleWithPriority(fe.At, sim.KindMachineFault, i, -1); err != nil {
+		if _, err := f.global.ScheduleWithPriority(fe.At, sim.KindFault, i, -1); err != nil {
 			return Result{}, err
 		}
 	}
@@ -519,7 +519,7 @@ func (f *Fleet) handle(e *sim.Event) error {
 			}
 		}
 
-	case sim.KindMachineFault:
+	case sim.KindFault:
 		if err := f.barrier(now); err != nil {
 			return err
 		}
@@ -653,8 +653,8 @@ func (f *Fleet) redispatch(j *job.Job, now float64) error {
 
 // applyMachineFault transitions one machine's health state. Runs at a
 // barrier: every machine is settled to now, so its live state is exact.
-func (f *Fleet) applyMachineFault(now float64, fe faults.MachineEvent) error {
-	n := f.nodes[fe.Machine]
+func (f *Fleet) applyMachineFault(now float64, fe faults.Event) error {
+	n := f.nodes[fe.Target]
 	server := n.d.Server()
 	switch fe.Kind {
 	case faults.MachineCrash:
@@ -747,7 +747,7 @@ func (f *Fleet) applyMachineFault(now float64, fe faults.MachineEvent) error {
 		return f.drainPending(now)
 
 	case faults.MachineSlow, faults.MachineRestore:
-		factor, action := fe.Factor, "slow"
+		factor, action := fe.Value, "slow"
 		if fe.Kind == faults.MachineRestore {
 			factor, action = 1, "restore"
 		} else {

@@ -28,13 +28,13 @@ func shardRun(t *testing.T, shards int) ([]byte, []byte, Result) {
 	var events, decisions bytes.Buffer
 	ej := obs.NewJSONL(&events)
 	dl := obs.NewDecisionLog(&decisions)
-	specs := []faults.MachineSpec{
-		{At: 1.5, Kind: faults.MachineCrash, Machine: 2, Duration: 2},
-		{At: 2.0, Kind: faults.MachinePartition, Machine: 3, Duration: 3},
-		{At: 2.5, Kind: faults.MachineSlow, Machine: 4, Duration: 2, Factor: 0.5},
-		{At: 2.7, Kind: faults.MachineSlow, Machine: 5, Duration: 1, Factor: 0.6},
+	specs := []faults.Spec{
+		{At: 1.5, Kind: faults.MachineCrash, Target: 2, Duration: 2},
+		{At: 2.0, Kind: faults.MachinePartition, Target: 3, Duration: 3},
+		{At: 2.5, Kind: faults.MachineSlow, Target: 4, Duration: 2, Value: 0.5},
+		{At: 2.7, Kind: faults.MachineSlow, Target: 5, Duration: 1, Value: 0.6},
 	}
-	cs, err := faults.NewCluster(specs, 6, 10)
+	cs, err := faults.New(faults.Machines, specs, 6, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

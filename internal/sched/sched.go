@@ -70,9 +70,9 @@ type Config struct {
 	// Cores; Model is then ignored except as a fallback. Discrete ladders
 	// are not supported together with heterogeneity.
 	PerCoreModels []power.Model
-	// Faults, when non-nil, injects the schedule's timed fault events
-	// (core failure/recovery, budget cap/restore, stuck DVFS) into the
-	// run. The runner degrades gracefully: orphaned jobs are requeued
+	// Faults, when non-nil, injects a core-scope schedule's timed fault
+	// events (core failure/recovery, budget cap/restore, stuck DVFS) into
+	// the run. The runner degrades gracefully: orphaned jobs are requeued
 	// (the audited exception to the no-migration rule), the power
 	// distribution recomputes over surviving cores, and admission control
 	// sheds the lowest-marginal-quality waiting jobs when the surviving
@@ -147,7 +147,7 @@ func (c Config) Validate() error {
 		}
 	}
 	if c.Faults != nil {
-		if err := c.Faults.Validate(c.Cores); err != nil {
+		if err := c.Faults.Validate(faults.Cores, c.Cores); err != nil {
 			return fmt.Errorf("sched: fault schedule: %w", err)
 		}
 	}
@@ -319,8 +319,8 @@ type Runner struct {
 	// nextArrival is the one job whose KindArrival event is outstanding —
 	// the kernel carries no payloads, so the runner holds the pointer.
 	nextArrival *job.Job
-	// faultEvents is the materialized fault schedule; KindCoreFail etc.
-	// events carry an index (sim.Event.Ref) into this table.
+	// faultEvents is the materialized fault schedule; KindFault events
+	// carry an index (sim.Event.Ref) into this table.
 	faultEvents []faults.Event
 	requeued    int64
 
@@ -462,11 +462,7 @@ func (r *Runner) Run() (Result, error) {
 	}
 	r.faultEvents = r.cfg.Faults.Events()
 	for i, fe := range r.faultEvents {
-		kind, ok := simFaultKind(fe.Kind)
-		if !ok {
-			return Result{}, fmt.Errorf("sched: fault schedule has unmapped kind %v", fe.Kind)
-		}
-		if _, err := r.engine.ScheduleWithPriority(fe.At, kind, i, -1); err != nil {
+		if _, err := r.engine.ScheduleWithPriority(fe.At, sim.KindFault, i, -1); err != nil {
 			return Result{}, err
 		}
 	}
@@ -536,24 +532,6 @@ func (r *Runner) Run() (Result, error) {
 	}
 	r.spans.Finish(runSpan)
 	return res, nil
-}
-
-// simFaultKind maps a fault event kind onto its sim queue kind.
-func simFaultKind(k faults.Kind) (sim.Kind, bool) {
-	switch k {
-	case faults.CoreFail:
-		return sim.KindCoreFail, true
-	case faults.CoreRecover:
-		return sim.KindCoreRecover, true
-	case faults.BudgetCap, faults.BudgetRestore:
-		return sim.KindBudgetChange, true
-	case faults.SpeedStuck:
-		return sim.KindSpeedStuck, true
-	case faults.SpeedFree:
-		return sim.KindSpeedFree, true
-	default:
-		return 0, false
-	}
 }
 
 // handle is the event dispatcher. The finalization records an event
@@ -627,8 +605,7 @@ func (r *Runner) apply(e *sim.Event) error {
 	case sim.KindDeadline:
 		return r.d.OnDeadline(now)
 
-	case sim.KindCoreFail, sim.KindCoreRecover, sim.KindBudgetChange,
-		sim.KindSpeedStuck, sim.KindSpeedFree:
+	case sim.KindFault:
 		if _, err := r.d.Settle(now); err != nil {
 			return err
 		}
@@ -649,23 +626,23 @@ func (r *Runner) applyFault(now float64, fe faults.Event) error {
 	}
 	obs.Emit(r.d.obs, fev)
 	var core *machine.Core
-	if fe.Core >= 0 && fe.Core < len(server.Cores) {
-		core = server.Cores[fe.Core]
+	if fe.Target >= 0 && fe.Target < len(server.Cores) {
+		core = server.Cores[fe.Target]
 	}
 	switch fe.Kind {
 	case faults.CoreFail:
-		return r.failCore(now, fe.Core)
+		return r.failCore(now, fe.Target)
 	case faults.CoreRecover:
 		if core != nil {
 			core.Recover(now)
 		}
 	case faults.BudgetCap:
-		server.SetBudget(fe.Watts)
+		server.SetBudget(fe.Value)
 	case faults.BudgetRestore:
 		server.SetBudget(r.cfg.PowerBudget)
 	case faults.SpeedStuck:
 		if core != nil {
-			core.SetStuck(fe.Speed)
+			core.SetStuck(fe.Value)
 		}
 	case faults.SpeedFree:
 		if core != nil {

@@ -42,21 +42,10 @@ const (
 	KindEnd
 	// KindUser is available for scheduler-specific events.
 	KindUser
-	// KindCoreFail fires when a core halts (fault injection).
-	KindCoreFail
-	// KindCoreRecover fires when a failed core returns to service.
-	KindCoreRecover
-	// KindBudgetChange fires when the total power budget is capped or
-	// restored mid-run.
-	KindBudgetChange
-	// KindSpeedStuck fires when a core's DVFS wedges at a fixed speed.
-	KindSpeedStuck
-	// KindSpeedFree fires when a stuck core's DVFS is released.
-	KindSpeedFree
-	// KindMachineFault fires on a machine-scoped fault transition in a
-	// fleet simulation (crash, partition, degrade, and their recoveries).
-	// Ref indexes the cluster's fault table.
-	KindMachineFault
+	// KindFault fires on a scheduled fault transition (internal/faults):
+	// core or machine scope, onset or recovery. Ref indexes the owner's
+	// fault table.
+	KindFault
 )
 
 // String implements fmt.Stringer.
@@ -74,18 +63,8 @@ func (k Kind) String() string {
 		return "end"
 	case KindUser:
 		return "user"
-	case KindCoreFail:
-		return "core-fail"
-	case KindCoreRecover:
-		return "core-recover"
-	case KindBudgetChange:
-		return "budget-change"
-	case KindSpeedStuck:
-		return "speed-stuck"
-	case KindSpeedFree:
-		return "speed-free"
-	case KindMachineFault:
-		return "machine-fault"
+	case KindFault:
+		return "fault"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}

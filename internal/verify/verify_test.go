@@ -271,12 +271,12 @@ func TestHeterogeneousMachineUpholdsInvariants(t *testing.T) {
 func faultyConfig(t *testing.T) sched.Config {
 	t.Helper()
 	cfg := sched.Defaults()
-	fs, err := faults.New([]faults.Spec{
-		{At: 3, Kind: faults.CoreFail, Core: 2},
-		{At: 4, Kind: faults.CoreFail, Core: 5, Duration: 5},
-		{At: 6, Kind: faults.BudgetCap, Watts: 160, Duration: 4},
-		{At: 2, Kind: faults.SpeedStuck, Core: 9, Speed: 1.0, Duration: 6},
-	}, cfg.Cores)
+	fs, err := faults.New(faults.Cores, []faults.Spec{
+		{At: 3, Kind: faults.CoreFail, Target: 2},
+		{At: 4, Kind: faults.CoreFail, Target: 5, Duration: 5},
+		{At: 6, Kind: faults.BudgetCap, Value: 160, Duration: 4},
+		{At: 2, Kind: faults.SpeedStuck, Target: 9, Value: 1.0, Duration: 6},
+	}, cfg.Cores, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,9 +449,9 @@ func (r *capIgnorer) Schedule(ctx *sched.Context) {
 
 func TestCheckerEnforcesCurrentCap(t *testing.T) {
 	cfg := sched.Defaults()
-	fs, err := faults.New([]faults.Spec{
-		{At: 2, Kind: faults.BudgetCap, Watts: 40},
-	}, cfg.Cores)
+	fs, err := faults.New(faults.Cores, []faults.Spec{
+		{At: 2, Kind: faults.BudgetCap, Value: 40},
+	}, cfg.Cores, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
