@@ -45,15 +45,8 @@ import (
 	"goodenough"
 )
 
-// jsonMachineFault is the wire form of a machine fault window.
-type jsonMachineFault struct {
-	At       float64 `json:"at"`
-	Kind     string  `json:"kind"`
-	Machine  int     `json:"machine"`
-	Duration float64 `json:"duration"`
-	Factor   float64 `json:"factor"`
-}
-
+// parseChaos decodes -chaos: a JSON list of machine fault windows, inline
+// or, with a leading @, from a file.
 func parseChaos(arg string) ([]goodenough.MachineFaultSpec, error) {
 	raw := []byte(arg)
 	if strings.HasPrefix(arg, "@") {
@@ -63,16 +56,9 @@ func parseChaos(arg string) ([]goodenough.MachineFaultSpec, error) {
 		}
 		raw = b
 	}
-	var js []jsonMachineFault
-	if err := json.Unmarshal(raw, &js); err != nil {
+	var specs []goodenough.MachineFaultSpec
+	if err := json.Unmarshal(raw, &specs); err != nil {
 		return nil, fmt.Errorf("parsing -chaos: %w", err)
-	}
-	specs := make([]goodenough.MachineFaultSpec, 0, len(js))
-	for _, j := range js {
-		specs = append(specs, goodenough.MachineFaultSpec{
-			AtSec: j.At, Kind: j.Kind, Machine: j.Machine,
-			DurationSec: j.Duration, Factor: j.Factor,
-		})
 	}
 	return specs, nil
 }

@@ -20,25 +20,12 @@ func chaosFleetConfig(t testing.TB) FleetConfig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wire []struct {
-		At       float64 `json:"at"`
-		Kind     string  `json:"kind"`
-		Machine  int     `json:"machine"`
-		Duration float64 `json:"duration"`
-		Factor   float64 `json:"factor"`
-	}
-	if err := json.Unmarshal(raw, &wire); err != nil {
-		t.Fatal(err)
-	}
 	fc := DefaultFleetConfig()
 	fc.Machines = 10
 	fc.DurationSec = 30
 	fc.ArrivalRate = 154 * float64(fc.Machines)
-	for _, w := range wire {
-		fc.MachineFaults = append(fc.MachineFaults, MachineFaultSpec{
-			AtSec: w.At, Kind: w.Kind, Machine: w.Machine,
-			DurationSec: w.Duration, Factor: w.Factor,
-		})
+	if err := json.Unmarshal(raw, &fc.MachineFaults); err != nil {
+		t.Fatal(err)
 	}
 	return fc
 }
