@@ -134,7 +134,7 @@ func TestFleetShardMatrix(t *testing.T) {
 }
 
 // TestFleetShardRaceHammer drives several sharded chaos fleets concurrently.
-// Its value is under -race (the CI fleet-smoke job): shard workers must
+// Its value is under -race (CI runs the whole suite so): shard workers must
 // never share mutable state across shard boundaries or with another fleet
 // instance.
 func TestFleetShardRaceHammer(t *testing.T) {
