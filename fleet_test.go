@@ -83,7 +83,7 @@ func TestFleetChaosGoldenScenario(t *testing.T) {
 }
 
 // TestFleetDeterminism runs the same chaotic fleet twice with the same
-// seed — concurrently, the way RunSeeds executes replications — and
+// seed — concurrently, the way geserve runs simulations — and
 // requires byte-identical event streams and identical results: no hidden
 // shared state between fleet instances. The config is deliberately small
 // (the full event stream is captured twice) but exercises every machine
@@ -152,7 +152,7 @@ func TestFleetCrashMidQuantumRedispatch(t *testing.T) {
 
 	redispatched := map[int]int{}
 	var downAt float64
-	sink := obs.Func(func(e obs.Event) {
+	sink := observerFunc(func(e obs.Event) {
 		switch e.Type {
 		case obs.EventRedispatch:
 			redispatched[e.Job]++

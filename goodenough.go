@@ -40,10 +40,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"goodenough/internal/core"
 	"goodenough/internal/dist"
@@ -53,7 +50,6 @@ import (
 	"goodenough/internal/power"
 	"goodenough/internal/quality"
 	"goodenough/internal/sched"
-	"goodenough/internal/stats"
 	"goodenough/internal/workload"
 )
 
@@ -343,114 +339,14 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	return RunWithOptions(cfg, RunOptions{Context: ctx})
 }
 
-// RunTrace executes one simulation over a recorded workload trace (JSON,
-// as produced by ExportTrace or cmd/getrace) instead of a synthetic
+// RunTraceContext executes one simulation over a recorded workload trace
+// (JSON, as produced by ExportTrace or cmd/getrace) instead of a synthetic
 // stream. The workload fields of cfg (ArrivalRate, demand distribution,
 // windows, duration, seed) are ignored; machine and scheduler fields apply.
-func RunTrace(cfg Config, traceJSON io.Reader) (Result, error) {
-	return RunTraceWithOptions(cfg, traceJSON, RunOptions{})
-}
-
-// RunTraceContext is RunTrace bounded by ctx, with the same partial-Result
-// cancellation semantics as RunContext.
+// It is bounded by ctx, with the same partial-Result cancellation semantics
+// as RunContext.
 func RunTraceContext(ctx context.Context, cfg Config, traceJSON io.Reader) (Result, error) {
 	return RunTraceWithOptions(cfg, traceJSON, RunOptions{Context: ctx})
-}
-
-// Replication summarizes repeated runs of the same configuration under
-// different seeds — the reproduction's answer to "is this one lucky
-// stream?". Fields aggregate per-seed Results.
-type Replication struct {
-	// Runs is the number of seeds simulated.
-	Runs int
-	// QualityMean/Std and EnergyMean/Std aggregate across seeds.
-	QualityMean float64
-	QualityStd  float64
-	EnergyMean  float64
-	EnergyStd   float64
-	// QualityMin/Max and EnergyMin/Max are the extremes observed.
-	QualityMin float64
-	QualityMax float64
-	EnergyMin  float64
-	EnergyMax  float64
-	// Results holds the individual runs in seed order.
-	Results []Result
-}
-
-// RunSeeds executes cfg once per seed and aggregates the results. The
-// cfg.Seed field is overridden by each entry. Replications run in parallel
-// across up to GOMAXPROCS workers; see RunSeedsContext for the guarantees.
-func RunSeeds(cfg Config, seeds []uint64) (Replication, error) {
-	return RunSeedsContext(context.Background(), cfg, seeds)
-}
-
-// RunSeedsContext is RunSeeds bounded by ctx. Replications are spread over
-// min(GOMAXPROCS, len(seeds)) workers, but each seed's simulation is
-// independent and internally deterministic, and results are reported in
-// seed order regardless of completion order — the Replication is identical
-// to a sequential run. If any replication fails, the remaining ones are
-// cancelled and the first error in seed order is returned (never a partial
-// Replication). Cancelling ctx instead yields a full-length Replication
-// whose unfinished entries carry partial Results with Cancelled set.
-func RunSeedsContext(ctx context.Context, cfg Config, seeds []uint64) (Replication, error) {
-	if len(seeds) == 0 {
-		return Replication{}, fmt.Errorf("goodenough: RunSeeds needs at least one seed")
-	}
-	results := make([]Result, len(seeds))
-	errs := make([]error, len(seeds))
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(seeds) {
-					return
-				}
-				c := cfg
-				c.Seed = seeds[i]
-				res, err := RunContext(runCtx, c)
-				if err != nil {
-					errs[i] = err
-					cancel() // stop the remaining replications promptly
-					continue // keep draining indices so Wait returns
-				}
-				results[i] = res
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return Replication{}, fmt.Errorf("goodenough: seed %d: %w", seeds[i], err)
-		}
-	}
-	rep := Replication{Runs: len(seeds), Results: results}
-	var q, e stats.Running
-	for _, res := range results {
-		q.Add(res.Quality)
-		e.Add(res.Energy)
-	}
-	rep.QualityMean, rep.QualityStd = q.Mean(), q.Std()
-	rep.EnergyMean, rep.EnergyStd = e.Mean(), e.Std()
-	rep.QualityMin, rep.QualityMax = q.Min(), q.Max()
-	rep.EnergyMin, rep.EnergyMax = e.Min(), e.Max()
-	return rep, nil
-}
-
-// RunWithTimeline is Run plus a recorded time series: quality, power draw,
-// queued load, and execution mode are sampled at scheduling events (thinned
-// to one sample per intervalSec) and written as CSV to w after the run.
-func RunWithTimeline(cfg Config, intervalSec float64, w io.Writer) (Result, error) {
-	return RunWithOptions(cfg, RunOptions{Timeline: w, TimelineInterval: intervalSec})
 }
 
 // RunOptions attaches observability sinks to one simulation. The zero
@@ -460,7 +356,7 @@ type RunOptions struct {
 	// Timeline, when non-nil, receives the sampled time series as CSV
 	// after the run (quality, power, load, mode, per-core speeds, energy),
 	// thinned to one sample per TimelineInterval seconds (0 keeps every
-	// sample). See RunWithTimeline.
+	// sample).
 	Timeline         io.Writer
 	TimelineInterval float64
 	// Events, when non-nil, receives the full structured event stream as
@@ -510,7 +406,7 @@ func RunWithOptions(cfg Config, opts RunOptions) (Result, error) {
 	return finishWithOptions(runner, scfg.Cores, opts)
 }
 
-// RunTraceWithOptions is RunTrace with observability sinks attached.
+// RunTraceWithOptions is RunTraceContext with observability sinks attached.
 func RunTraceWithOptions(cfg Config, traceJSON io.Reader, opts RunOptions) (Result, error) {
 	scfg, policy, err := cfg.compile()
 	if err != nil {
@@ -619,7 +515,7 @@ func finishWithOptions(runner *sched.Runner, cores int, opts RunOptions) (Result
 
 // ExportTrace generates the synthetic workload described by cfg and writes
 // it as a JSON trace, so the exact request stream can be archived, shared,
-// and replayed with RunTrace.
+// and replayed with RunTraceContext.
 func ExportTrace(cfg Config, w io.Writer) error {
 	_, spec, _, err := lower(cfg)
 	if err != nil {

@@ -89,6 +89,32 @@ func TestQuadCoreKillUpholdsInvariants(t *testing.T) {
 	}
 }
 
+// TestFailuresNeverLowerMissRate: a heavy per-core failure rate (MTBF
+// 20 s, MTTR 5 s) must not lower GE's or BE's miss rate, the fraction of
+// jobs expired at a deadline or shed, below the fault-free run's.
+func TestFailuresNeverLowerMissRate(t *testing.T) {
+	missRate := func(r Result) float64 { return float64(r.Expired+r.DroppedJobs) / float64(r.Jobs) }
+	for _, name := range []string{"ge", "be"} {
+		cfg := quickCfg(name, 160)
+		cfg.DurationSec = 10
+		clean, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "ge" && (clean.Quality <= 0 || clean.Quality > 1) {
+			t.Fatalf("fault-free GE quality = %v", clean.Quality)
+		}
+		cfg.FaultMTBFSec, cfg.FaultMTTRSec = 20, 5
+		faulty, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if missRate(faulty) < missRate(clean) {
+			t.Fatalf("%s miss rate improved under failures: %v < %v", name, missRate(faulty), missRate(clean))
+		}
+	}
+}
+
 func TestGeneratedFaultsFromPublicConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DurationSec = 20

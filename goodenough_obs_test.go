@@ -96,12 +96,17 @@ func TestGoldenRunDeterminism(t *testing.T) {
 	}
 }
 
+// observerFunc adapts a plain function to an obs.Observer.
+type observerFunc func(obs.Event)
+
+func (f observerFunc) Observe(e obs.Event) { f(e) }
+
 // TestRunWithOptionsObserver exercises the custom-observer hook and checks
 // that attaching one does not perturb the simulation result.
 func TestRunWithOptionsObserver(t *testing.T) {
 	cfg := goldenCfg()
 	var execs, faults int
-	res, err := RunWithOptions(cfg, RunOptions{Observer: obs.Func(func(e obs.Event) {
+	res, err := RunWithOptions(cfg, RunOptions{Observer: observerFunc(func(e obs.Event) {
 		switch e.Type {
 		case obs.EventExec:
 			execs++

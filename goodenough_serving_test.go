@@ -3,6 +3,7 @@ package goodenough
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -84,64 +85,39 @@ func TestRunTraceContextCancel(t *testing.T) {
 	}
 }
 
-// --- RunSeeds parallelization ---
+// --- Concurrent runs ---
 
-func TestRunSeedsParallelMatchesSequential(t *testing.T) {
+// TestRunConcurrentMatchesSequential calls Run from several goroutines at
+// once, as geserve does, and requires each result to be bit-equal to the
+// sequential Run of the same seed: concurrent runs share no state.
+func TestRunConcurrentMatchesSequential(t *testing.T) {
 	cfg := quickCfg("ge", 154)
 	seeds := []uint64{1, 2, 3, 4, 5}
-	rep, err := RunSeeds(cfg, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Runs != len(seeds) || len(rep.Results) != len(seeds) {
-		t.Fatalf("replication shape wrong: %d/%d", rep.Runs, len(rep.Results))
-	}
-	// Parallel execution must be invisible: result i is exactly the
-	// sequential Run of seed i.
+	got := make([]Result, len(seeds))
+	errs := make([]error, len(seeds))
+	var wg sync.WaitGroup
 	for i, seed := range seeds {
+		wg.Add(1)
+		go func(i int, seed uint64) {
+			defer wg.Done()
+			c := cfg
+			c.Seed = seed
+			got[i], errs[i] = Run(c)
+		}(i, seed)
+	}
+	wg.Wait()
+	for i, seed := range seeds {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
 		c := cfg
 		c.Seed = seed
 		want, err := Run(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Results[i] != want {
-			t.Fatalf("seed %d (index %d) diverged under parallel RunSeeds:\n%+v\n%+v",
-				seed, i, rep.Results[i], want)
-		}
-	}
-}
-
-func TestRunSeedsPropagatesFirstError(t *testing.T) {
-	cfg := quickCfg("ge", 154)
-	cfg.Scheduler = "no-such-policy"
-	rep, err := RunSeeds(cfg, []uint64{1, 2, 3})
-	if err == nil {
-		t.Fatal("invalid config accepted")
-	}
-	if !strings.Contains(err.Error(), "seed 1") {
-		t.Fatalf("error %q does not identify the first failing seed", err)
-	}
-	if rep.Runs != 0 || rep.Results != nil {
-		t.Fatalf("failed RunSeeds leaked partial state: %+v", rep)
-	}
-}
-
-func TestRunSeedsContextCancelled(t *testing.T) {
-	cfg := quickCfg("ge", 154)
-	cfg.DurationSec = 1e6
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(25 * time.Millisecond)
-		cancel()
-	}()
-	rep, err := RunSeedsContext(ctx, cfg, []uint64{1, 2})
-	if err != nil {
-		t.Fatalf("cancelled RunSeeds must not error, got %v", err)
-	}
-	for i, res := range rep.Results {
-		if !res.Cancelled {
-			t.Fatalf("result %d not flagged Cancelled after ctx cancel", i)
+		if got[i] != want {
+			t.Fatalf("seed %d diverged when run concurrently:\n%+v\n%+v", seed, got[i], want)
 		}
 	}
 }

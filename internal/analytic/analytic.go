@@ -24,7 +24,6 @@ import (
 	"goodenough/internal/job"
 	"goodenough/internal/power"
 	"goodenough/internal/quality"
-	"goodenough/internal/rng"
 	"goodenough/internal/workload"
 	"goodenough/internal/yds"
 )
@@ -137,23 +136,6 @@ func EffectiveCapacity(m power.Model, cores int, budget float64, spec workload.S
 		return math.Inf(1), nil
 	}
 	return cap / kept, nil
-}
-
-// MonteCarloKeepFraction estimates the surviving work fraction empirically
-// by sampling the demand distribution and applying the same level cut —
-// used in tests to validate the quadrature.
-func MonteCarloKeepFraction(spec workload.Spec, level float64, samples int, seed uint64) float64 {
-	src := rng.New(seed)
-	kept, total := 0.0, 0.0
-	for i := 0; i < samples; i++ {
-		d := src.BoundedPareto(spec.ParetoAlpha, spec.Xmin, spec.Xmax)
-		total += d
-		kept += math.Min(d, level)
-	}
-	if total == 0 {
-		return 0
-	}
-	return kept / total
 }
 
 // FluidLowerBound computes a clairvoyant lower bound on the dynamic energy

@@ -12,8 +12,6 @@
 package assign
 
 import (
-	"fmt"
-
 	"goodenough/internal/job"
 )
 
@@ -29,15 +27,6 @@ type Assigner interface {
 	Name() string
 	// Reset clears any cross-cycle state (new simulation run).
 	Reset()
-}
-
-// AllCores returns the eligible list for a fault-free m-core machine.
-func AllCores(m int) []int {
-	out := make([]int, m)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // RoundRobin restarts at the first eligible core on every batch.
@@ -123,18 +112,4 @@ func (LeastLoaded) Reset() {}
 func bind(j *job.Job, core int) {
 	j.Core = core
 	j.State = job.StateAssigned
-}
-
-// New returns an assigner by name: "rr", "c-rr", or "least-loaded".
-func New(name string) (Assigner, error) {
-	switch name {
-	case "rr":
-		return RoundRobin{}, nil
-	case "c-rr", "crr":
-		return &CumulativeRR{}, nil
-	case "least-loaded", "ll":
-		return LeastLoaded{}, nil
-	default:
-		return nil, fmt.Errorf("assign: unknown policy %q", name)
-	}
 }

@@ -14,9 +14,18 @@ func batch(n int) []*job.Job {
 	return jobs
 }
 
+// allCores is the eligible list of a fault-free m-core machine.
+func allCores(m int) []int {
+	out := make([]int, m)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 func TestRoundRobin(t *testing.T) {
 	jobs := batch(5)
-	RoundRobin{}.Assign(jobs, AllCores(3), nil)
+	RoundRobin{}.Assign(jobs, allCores(3), nil)
 	want := []int{0, 1, 2, 0, 1}
 	for i, j := range jobs {
 		if j.Core != want[i] {
@@ -28,7 +37,7 @@ func TestRoundRobin(t *testing.T) {
 	}
 	// RR restarts every batch.
 	jobs2 := batch(2)
-	RoundRobin{}.Assign(jobs2, AllCores(3), nil)
+	RoundRobin{}.Assign(jobs2, allCores(3), nil)
 	if jobs2[0].Core != 0 {
 		t.Fatalf("plain RR should restart at core 0, got %d", jobs2[0].Core)
 	}
@@ -37,16 +46,16 @@ func TestRoundRobin(t *testing.T) {
 func TestCumulativeRRPersistsCursor(t *testing.T) {
 	c := &CumulativeRR{}
 	a := batch(5)
-	c.Assign(a, AllCores(3), nil)
+	c.Assign(a, allCores(3), nil)
 	b := batch(2)
-	c.Assign(b, AllCores(3), nil)
+	c.Assign(b, allCores(3), nil)
 	// First batch ended at cursor 5%3=2, so the next batch starts there.
 	if b[0].Core != 2 || b[1].Core != 0 {
 		t.Fatalf("C-RR cursor not cumulative: got %d,%d want 2,0", b[0].Core, b[1].Core)
 	}
 	c.Reset()
 	d := batch(1)
-	c.Assign(d, AllCores(3), nil)
+	c.Assign(d, allCores(3), nil)
 	if d[0].Core != 0 {
 		t.Fatalf("reset cursor should restart at 0, got %d", d[0].Core)
 	}
@@ -54,9 +63,9 @@ func TestCumulativeRRPersistsCursor(t *testing.T) {
 
 func TestCumulativeRRCoreShrink(t *testing.T) {
 	c := &CumulativeRR{}
-	c.Assign(batch(7), AllCores(8), nil) // cursor = 7
+	c.Assign(batch(7), allCores(8), nil) // cursor = 7
 	j := batch(1)
-	c.Assign(j, AllCores(4), nil) // cursor wraps into [0,4)
+	c.Assign(j, allCores(4), nil) // cursor wraps into [0,4)
 	if j[0].Core < 0 || j[0].Core >= 4 {
 		t.Fatalf("core out of range after shrink: %d", j[0].Core)
 	}
@@ -69,12 +78,12 @@ func TestCumulativeRRBalance(t *testing.T) {
 	countsRR := make([]int, 3)
 	for round := 0; round < 30; round++ {
 		bc := batch(2)
-		c.Assign(bc, AllCores(3), nil)
+		c.Assign(bc, allCores(3), nil)
 		for _, j := range bc {
 			countsCRR[j.Core]++
 		}
 		br := batch(2)
-		RoundRobin{}.Assign(br, AllCores(3), nil)
+		RoundRobin{}.Assign(br, allCores(3), nil)
 		for _, j := range br {
 			countsRR[j.Core]++
 		}
@@ -89,7 +98,7 @@ func TestCumulativeRRBalance(t *testing.T) {
 
 func TestLeastLoaded(t *testing.T) {
 	jobs := batch(2)
-	LeastLoaded{}.Assign(jobs, AllCores(3), []float64{500, 10, 300})
+	LeastLoaded{}.Assign(jobs, allCores(3), []float64{500, 10, 300})
 	if jobs[0].Core != 1 {
 		t.Fatalf("first job should go to the idlest core 1, got %d", jobs[0].Core)
 	}
@@ -101,7 +110,7 @@ func TestLeastLoaded(t *testing.T) {
 
 func TestLeastLoadedUpdatesDuringBatch(t *testing.T) {
 	jobs := batch(3)
-	LeastLoaded{}.Assign(jobs, AllCores(2), []float64{0, 150})
+	LeastLoaded{}.Assign(jobs, allCores(2), []float64{0, 150})
 	// Job demands are 100,101,102: job0→core0 (0), now core0=100;
 	// job1→core0 (100<150), now core0=201; job2→core1 (150<201).
 	if jobs[0].Core != 0 || jobs[1].Core != 0 || jobs[2].Core != 1 {
@@ -137,18 +146,6 @@ func TestZeroCoresPanics(t *testing.T) {
 			}()
 			a.Assign(batch(1), nil, nil)
 		}()
-	}
-}
-
-func TestNew(t *testing.T) {
-	for _, name := range []string{"rr", "c-rr", "crr", "least-loaded", "ll"} {
-		a, err := New(name)
-		if err != nil || a == nil {
-			t.Errorf("New(%q) failed: %v", name, err)
-		}
-	}
-	if _, err := New("nope"); err == nil {
-		t.Error("unknown assigner accepted")
 	}
 }
 

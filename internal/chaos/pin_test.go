@@ -46,9 +46,9 @@ func TestGeneratedSchedulesPinned(t *testing.T) {
 		n      int
 		digest string
 	}{
-		{"Generate(7, 600, 10, 3, Latency, 0.05, 0.01)", latency.Specs(), 39,
+		{"Generate(7, 600, 10, 3, Latency, 0.05, 0.01)", latency.specs, 39,
 			"17b70304ec4ca1a9985070c8f1e6db20c1fcc64248c8f0d47ab190646276ca9b"},
-		{"Generate(11, 600, 10, 3, HTTPError, 0, 0)", httpErr.Specs(), 48,
+		{"Generate(11, 600, 10, 3, HTTPError, 0, 0)", httpErr.specs, 48,
 			"4e21d5cf48ba0b4f728af97229b362a1372d0ada160811543a61f517f762b95e"},
 	} {
 		if got := windowDigest(c.specs); len(c.specs) != c.n || got != c.digest {

@@ -172,14 +172,6 @@ func Generate(seed uint64, horizon, mtbf, mttr float64, kind Kind, delay, jitter
 	return New(specs)
 }
 
-// Specs returns a copy of the ordered windows.
-func (s *Schedule) Specs() []Spec {
-	if s == nil {
-		return nil
-	}
-	return append([]Spec(nil), s.specs...)
-}
-
 // Len returns the number of windows.
 func (s *Schedule) Len() int {
 	if s == nil {

@@ -487,9 +487,6 @@ func (g *GE) monitoredQuality(ctx *sched.Context) float64 {
 	return (snap.achieved - base.achieved) / dp
 }
 
-// InAES reports the current mode (tests and diagnostics).
-func (g *GE) InAES() bool { return g.inAES }
-
 // snapTargets records the jobs' targets before a cutting pass so the diffs
 // can be emitted as EventJobCut. Returns nil (and emitCuts no-ops) when no
 // observer is attached, keeping the hot path allocation-free. The returned

@@ -343,10 +343,10 @@ func TestGEReset(t *testing.T) {
 }
 
 func TestInAESAccessor(t *testing.T) {
-	if !NewGE(0.9).InAES() {
+	if !NewGE(0.9).inAES {
 		t.Fatal("GE should start in AES mode")
 	}
-	if NewBE().InAES() {
+	if NewBE().inAES {
 		t.Fatal("BE must never be in AES mode")
 	}
 }
@@ -589,7 +589,7 @@ func refSchedule(g *GE, ctx *sched.Context) {
 	for k, i := range free {
 		compact[k] = demands[i]
 	}
-	compactAlloc := dist.Distribute(g.opts.Dist, distributable, compact, heavy)
+	compactAlloc := new(dist.Filler).Distribute(g.opts.Dist, distributable, compact, heavy)
 	alloc := make([]float64, cfg.Cores)
 	for k, i := range free {
 		alloc[i] = compactAlloc[k]
@@ -604,7 +604,7 @@ func refSchedule(g *GE, ctx *sched.Context) {
 			}
 			chosen[i] = model.Power(s)
 		}
-		discSpeeds, _ = dist.RectifyDiscrete(model, cfg.Ladder, budget, chosen)
+		discSpeeds, _ = new(dist.Filler).RectifyDiscrete(model, cfg.Ladder, budget, chosen)
 	}
 
 	for i, c := range ctx.Server.Cores {

@@ -231,20 +231,3 @@ func Restore(jobs []*job.Job) {
 		j.RestoreTarget()
 	}
 }
-
-// BatchQuality returns Σf(Target)/Σf(Demand) for the jobs — the quality the
-// current targets would achieve if fully executed.
-func BatchQuality(jobs []*job.Job, f quality.Function) float64 {
-	num, den := 0.0, 0.0
-	for _, j := range jobs {
-		if j.Demand <= 0 {
-			continue
-		}
-		num += f.Value(j.Target)
-		den += f.Value(j.Demand)
-	}
-	if den == 0 {
-		return 1
-	}
-	return num / den
-}

@@ -22,6 +22,17 @@ func mkBatch(demands ...float64) []*job.Job {
 	return jobs
 }
 
+// targetQuality is Σf(Target)/Σf(Demand): the quality the targets would
+// achieve if fully executed.
+func targetQuality(jobs []*job.Job, f quality.Function) float64 {
+	num, den := 0.0, 0.0
+	for _, j := range jobs {
+		num += f.Value(j.Target)
+		den += f.Value(j.Demand)
+	}
+	return num / den
+}
+
 func TestEmptyBatch(t *testing.T) {
 	res := LongestFirst(nil, paperF(), 0.9)
 	if res.Quality != 1 || res.Cut != 0 {
@@ -51,8 +62,8 @@ func TestHitsTargetQualityExactly(t *testing.T) {
 		if math.Abs(res.Quality-qge) > 1e-6 {
 			t.Fatalf("qge=%v: achieved %v", qge, res.Quality)
 		}
-		if got := BatchQuality(jobs, f); math.Abs(got-qge) > 1e-6 {
-			t.Fatalf("qge=%v: BatchQuality says %v", qge, got)
+		if got := targetQuality(jobs, f); math.Abs(got-qge) > 1e-6 {
+			t.Fatalf("qge=%v: the targets' quality is %v", qge, got)
 		}
 	}
 }
@@ -127,7 +138,10 @@ func TestConcavitySavesWork(t *testing.T) {
 	// than 10% of the total — that asymmetry is the whole point.
 	f := paperF()
 	jobs := mkBatch(1000, 900, 800, 700, 600, 500)
-	total := job.TotalRemaining(jobs)
+	total := 0.0
+	for _, j := range jobs {
+		total += j.Remaining()
+	}
 	res := LongestFirst(jobs, f, 0.9)
 	if res.WorkRemoved < 0.15*total {
 		t.Fatalf("only %v of %v work removed at qge=0.9; concavity should buy more",
@@ -197,12 +211,6 @@ func TestRestore(t *testing.T) {
 		if j.Target != j.Demand {
 			t.Fatalf("restore failed: %v", j)
 		}
-	}
-}
-
-func TestBatchQualityEdge(t *testing.T) {
-	if BatchQuality(nil, paperF()) != 1 {
-		t.Fatal("empty BatchQuality should be 1")
 	}
 }
 

@@ -63,12 +63,6 @@ func (f *Filler) grow(m int) []float64 {
 }
 
 // EqualShare returns each of m cores' share of budget H: H/m each.
-func EqualShare(h float64, m int) []float64 {
-	var f Filler
-	return f.EqualShare(h, m)
-}
-
-// EqualShare is EqualShare on the Filler's reused buffer.
 func (f *Filler) EqualShare(h float64, m int) []float64 {
 	if m <= 0 {
 		return nil
@@ -90,16 +84,8 @@ func (f *Filler) EqualShare(h float64, m int) []float64 {
 // level evenly across the still-thirsty cores. No core receives more than
 // its demand; leftover budget (if all demands are met) remains unassigned,
 // matching the physical model where a core has no use for power beyond
-// what finishes its work at the required speed.
-func WaterFill(h float64, demands []float64) []float64 {
-	var f Filler
-	return f.WaterFill(h, demands)
-}
-
-// WaterFill is WaterFill on the Filler's reused buffers: the (index,
-// demand) pairs are sorted in scratch instead of a per-call allocation.
-// The arithmetic — level walk, split of the residual budget — is identical
-// to the stand-alone form, bit for bit.
+// what finishes its work at the required speed. The (index, demand) pairs
+// are sorted in the Filler's scratch.
 func (f *Filler) WaterFill(h float64, demands []float64) []float64 {
 	m := len(demands)
 	alloc := f.grow(m)
@@ -189,12 +175,6 @@ func (p Policy) String() string {
 
 // Proportional splits H proportionally to the demands. Zero total demand
 // falls back to equal sharing.
-func Proportional(h float64, demands []float64) []float64 {
-	var f Filler
-	return f.Proportional(h, demands)
-}
-
-// Proportional is Proportional on the Filler's reused buffer.
 func (f *Filler) Proportional(h float64, demands []float64) []float64 {
 	m := len(demands)
 	alloc := f.grow(m)
@@ -220,12 +200,6 @@ func (f *Filler) Proportional(h float64, demands []float64) []float64 {
 
 // Distribute applies the policy. `heavy` tells Hybrid which regime the
 // system is in (load >= critical load).
-func Distribute(p Policy, h float64, demands []float64, heavy bool) []float64 {
-	var f Filler
-	return f.Distribute(p, h, demands, heavy)
-}
-
-// Distribute is Distribute on the Filler's reused buffers.
 func (f *Filler) Distribute(p Policy, h float64, demands []float64, heavy bool) []float64 {
 	switch p {
 	case PolicyES:
@@ -250,14 +224,6 @@ func (f *Filler) Distribute(p Policy, h float64, demands []float64, heavy bool) 
 // below the implied continuous speed when the total budget still allows
 // it, otherwise the next lower level. Cores with zero allocation stay
 // idle. It returns the chosen speeds (GHz) and the implied power draw.
-func RectifyDiscrete(model power.Model, ladder *power.Ladder, h float64, alloc []float64) (speeds, draw []float64) {
-	var f Filler
-	return f.RectifyDiscrete(model, ladder, h, alloc)
-}
-
-// RectifyDiscrete is RectifyDiscrete on the Filler's reused buffers: the
-// visiting order is sorted in scratch and the speed/draw vectors are
-// reused across calls.
 func (f *Filler) RectifyDiscrete(model power.Model, ladder *power.Ladder, h float64, alloc []float64) (speeds, draw []float64) {
 	m := len(alloc)
 	if cap(f.speeds) < m {
@@ -320,13 +286,4 @@ func (f *Filler) RectifyDiscrete(model power.Model, ladder *power.Ladder, h floa
 		}
 	}
 	return speeds, draw
-}
-
-// Sum returns the total of an allocation (diagnostics, conservation tests).
-func Sum(alloc []float64) float64 {
-	s := 0.0
-	for _, a := range alloc {
-		s += a
-	}
-	return s
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestEqualShare(t *testing.T) {
-	shares := EqualShare(320, 16)
+	shares := new(Filler).EqualShare(320, 16)
 	if len(shares) != 16 {
 		t.Fatalf("len = %d", len(shares))
 	}
@@ -19,10 +19,10 @@ func TestEqualShare(t *testing.T) {
 			t.Fatalf("share = %v, want 20", s)
 		}
 	}
-	if EqualShare(320, 0) != nil {
+	if new(Filler).EqualShare(320, 0) != nil {
 		t.Fatal("zero cores should give nil")
 	}
-	for _, s := range EqualShare(-5, 4) {
+	for _, s := range new(Filler).EqualShare(-5, 4) {
 		if s != 0 {
 			t.Fatal("negative budget should clamp to zero shares")
 		}
@@ -30,7 +30,7 @@ func TestEqualShare(t *testing.T) {
 }
 
 func TestWaterFillAllSatisfied(t *testing.T) {
-	alloc := WaterFill(100, []float64{10, 20, 30})
+	alloc := new(Filler).WaterFill(100, []float64{10, 20, 30})
 	want := []float64{10, 20, 30}
 	for i := range want {
 		if math.Abs(alloc[i]-want[i]) > 1e-9 {
@@ -42,7 +42,7 @@ func TestWaterFillAllSatisfied(t *testing.T) {
 func TestWaterFillLevel(t *testing.T) {
 	// Budget 60 over demands {10, 40, 40}: level fills 10 first, then the
 	// remaining 50 splits evenly over the two thirsty cores → 25 each.
-	alloc := WaterFill(60, []float64{10, 40, 40})
+	alloc := new(Filler).WaterFill(60, []float64{10, 40, 40})
 	want := []float64{10, 25, 25}
 	for i := range want {
 		if math.Abs(alloc[i]-want[i]) > 1e-9 {
@@ -54,7 +54,7 @@ func TestWaterFillLevel(t *testing.T) {
 func TestWaterFillTightBudget(t *testing.T) {
 	// Budget 12 over {10, 40, 40}: step to level 10 needs 30 > 12, so the
 	// level is 12/3 = 4 for everyone.
-	alloc := WaterFill(12, []float64{10, 40, 40})
+	alloc := new(Filler).WaterFill(12, []float64{10, 40, 40})
 	for i, a := range alloc {
 		if math.Abs(a-4) > 1e-9 {
 			t.Fatalf("alloc[%d] = %v, want 4", i, a)
@@ -64,7 +64,7 @@ func TestWaterFillTightBudget(t *testing.T) {
 
 func TestWaterFillPreservesOrderMapping(t *testing.T) {
 	// The allocation must map back to the original core indices.
-	alloc := WaterFill(60, []float64{40, 10, 40})
+	alloc := new(Filler).WaterFill(60, []float64{40, 10, 40})
 	want := []float64{25, 10, 25}
 	for i := range want {
 		if math.Abs(alloc[i]-want[i]) > 1e-9 {
@@ -74,16 +74,16 @@ func TestWaterFillPreservesOrderMapping(t *testing.T) {
 }
 
 func TestWaterFillEdges(t *testing.T) {
-	if len(WaterFill(100, nil)) != 0 {
+	if len(new(Filler).WaterFill(100, nil)) != 0 {
 		t.Fatal("empty demands should give empty allocation")
 	}
-	for _, a := range WaterFill(0, []float64{5, 5}) {
+	for _, a := range new(Filler).WaterFill(0, []float64{5, 5}) {
 		if a != 0 {
 			t.Fatal("zero budget should allocate nothing")
 		}
 	}
 	// Negative demands clamp to zero.
-	alloc := WaterFill(10, []float64{-5, 5})
+	alloc := new(Filler).WaterFill(10, []float64{-5, 5})
 	if alloc[0] != 0 || math.Abs(alloc[1]-5) > 1e-9 {
 		t.Fatalf("negative demand handling wrong: %v", alloc)
 	}
@@ -91,7 +91,7 @@ func TestWaterFillEdges(t *testing.T) {
 
 func TestWaterFillFavorsLowDemands(t *testing.T) {
 	// The paper's motivation: low demands are satisfied first.
-	alloc := WaterFill(50, []float64{5, 100})
+	alloc := new(Filler).WaterFill(50, []float64{5, 100})
 	if math.Abs(alloc[0]-5) > 1e-9 {
 		t.Fatalf("low demand not fully satisfied: %v", alloc[0])
 	}
@@ -101,12 +101,12 @@ func TestWaterFillFavorsLowDemands(t *testing.T) {
 }
 
 func TestProportional(t *testing.T) {
-	alloc := Proportional(100, []float64{10, 30})
+	alloc := new(Filler).Proportional(100, []float64{10, 30})
 	if math.Abs(alloc[0]-25) > 1e-9 || math.Abs(alloc[1]-75) > 1e-9 {
 		t.Fatalf("proportional = %v", alloc)
 	}
 	// Zero demand falls back to ES.
-	alloc = Proportional(100, []float64{0, 0})
+	alloc = new(Filler).Proportional(100, []float64{0, 0})
 	if math.Abs(alloc[0]-50) > 1e-9 {
 		t.Fatalf("zero-demand proportional = %v", alloc)
 	}
@@ -114,13 +114,13 @@ func TestProportional(t *testing.T) {
 
 func TestDistributeHybridSwitch(t *testing.T) {
 	demands := []float64{10, 40, 40}
-	light := Distribute(PolicyHybrid, 60, demands, false)
+	light := new(Filler).Distribute(PolicyHybrid, 60, demands, false)
 	for _, a := range light {
 		if math.Abs(a-20) > 1e-9 {
 			t.Fatalf("hybrid light should equal-share: %v", light)
 		}
 	}
-	heavy := Distribute(PolicyHybrid, 60, demands, true)
+	heavy := new(Filler).Distribute(PolicyHybrid, 60, demands, true)
 	if math.Abs(heavy[0]-10) > 1e-9 || math.Abs(heavy[1]-25) > 1e-9 {
 		t.Fatalf("hybrid heavy should water-fill: %v", heavy)
 	}
@@ -128,13 +128,13 @@ func TestDistributeHybridSwitch(t *testing.T) {
 
 func TestDistributeDispatch(t *testing.T) {
 	demands := []float64{10, 20}
-	if a := Distribute(PolicyES, 30, demands, true); math.Abs(a[0]-15) > 1e-9 {
+	if a := new(Filler).Distribute(PolicyES, 30, demands, true); math.Abs(a[0]-15) > 1e-9 {
 		t.Fatalf("ES dispatch wrong: %v", a)
 	}
-	if a := Distribute(PolicyWF, 30, demands, false); math.Abs(a[0]-10) > 1e-9 || math.Abs(a[1]-20) > 1e-9 {
+	if a := new(Filler).Distribute(PolicyWF, 30, demands, false); math.Abs(a[0]-10) > 1e-9 || math.Abs(a[1]-20) > 1e-9 {
 		t.Fatalf("WF dispatch wrong: %v", a)
 	}
-	if a := Distribute(PolicyProportional, 30, demands, false); math.Abs(a[0]-10) > 1e-9 {
+	if a := new(Filler).Distribute(PolicyProportional, 30, demands, false); math.Abs(a[0]-10) > 1e-9 {
 		t.Fatalf("proportional dispatch wrong: %v", a)
 	}
 }
@@ -145,7 +145,7 @@ func TestDistributeUnknownPanics(t *testing.T) {
 			t.Fatal("unknown policy did not panic")
 		}
 	}()
-	Distribute(Policy(99), 10, []float64{1}, false)
+	new(Filler).Distribute(Policy(99), 10, []float64{1}, false)
 }
 
 func TestPolicyString(t *testing.T) {
@@ -174,7 +174,7 @@ func TestWaterFillConservationProperty(t *testing.T) {
 			demands[i] = r.Float64() * 60
 			total += demands[i]
 		}
-		alloc := WaterFill(h, demands)
+		alloc := new(Filler).WaterFill(h, demands)
 		sum := 0.0
 		for i, a := range alloc {
 			if a < -1e-9 || a > demands[i]+1e-9 {
@@ -209,7 +209,7 @@ func TestWaterFillFlatLevelProperty(t *testing.T) {
 		for i := range demands {
 			demands[i] = r.Float64() * 60
 		}
-		alloc := WaterFill(h, demands)
+		alloc := new(Filler).WaterFill(h, demands)
 		level := -1.0
 		for i, a := range alloc {
 			if a < demands[i]-1e-6 { // unsatisfied
@@ -233,7 +233,7 @@ func TestRectifyDiscreteRoundsUpWithinBudget(t *testing.T) {
 	// Continuous allocation implies speeds {1.2, 1.2}: rounding both up to
 	// 2 GHz costs 40 W total.
 	alloc := []float64{m.Power(1.2), m.Power(1.2)}
-	speeds, draw := RectifyDiscrete(m, ladder, 40, alloc)
+	speeds, draw := new(Filler).RectifyDiscrete(m, ladder, 40, alloc)
 	for i, s := range speeds {
 		if s != 2 {
 			t.Fatalf("speed[%d] = %v, want 2 (round up)", i, s)
@@ -250,7 +250,7 @@ func TestRectifyDiscreteFallsBackDown(t *testing.T) {
 	// Budget 25 W: first core (lowest alloc) rounds 1.2→2 (20 W), second
 	// cannot afford 2 GHz (20 W > 5 left) so it drops to 1 GHz (5 W).
 	alloc := []float64{m.Power(1.2), m.Power(1.3)}
-	speeds, _ := RectifyDiscrete(m, ladder, 25, alloc)
+	speeds, _ := new(Filler).RectifyDiscrete(m, ladder, 25, alloc)
 	if speeds[0] != 2 || speeds[1] != 1 {
 		t.Fatalf("speeds = %v, want [2 1]", speeds)
 	}
@@ -263,7 +263,7 @@ func TestRectifyDiscreteLowestFirst(t *testing.T) {
 	// allocations implying 1.3 (higher) and 1.2 (lower): the 1.2 core is
 	// visited first and gets 2 GHz; the 1.3 core falls to 1 GHz.
 	alloc := []float64{m.Power(1.3), m.Power(1.2)}
-	speeds, _ := RectifyDiscrete(m, ladder, 25, alloc)
+	speeds, _ := new(Filler).RectifyDiscrete(m, ladder, 25, alloc)
 	if speeds[1] != 2 || speeds[0] != 1 {
 		t.Fatalf("speeds = %v, want [1 2] (lowest alloc first)", speeds)
 	}
@@ -272,7 +272,7 @@ func TestRectifyDiscreteLowestFirst(t *testing.T) {
 func TestRectifyDiscreteIdleCoreStaysIdle(t *testing.T) {
 	m := power.Default()
 	ladder, _ := power.NewLadder([]float64{1, 2})
-	speeds, draw := RectifyDiscrete(m, ladder, 100, []float64{0, m.Power(1.5)})
+	speeds, draw := new(Filler).RectifyDiscrete(m, ladder, 100, []float64{0, m.Power(1.5)})
 	if speeds[0] != 0 || draw[0] != 0 {
 		t.Fatalf("idle core got speed %v", speeds[0])
 	}
@@ -283,7 +283,7 @@ func TestRectifyDiscreteIdleCoreStaysIdle(t *testing.T) {
 
 func TestRectifyDiscreteNilLadderIsContinuous(t *testing.T) {
 	m := power.Default()
-	speeds, draw := RectifyDiscrete(m, nil, 100, []float64{20, 45})
+	speeds, draw := new(Filler).RectifyDiscrete(m, nil, 100, []float64{20, 45})
 	if math.Abs(speeds[0]-2) > 1e-9 || math.Abs(speeds[1]-3) > 1e-9 {
 		t.Fatalf("continuous speeds = %v", speeds)
 	}
@@ -299,11 +299,11 @@ func TestRectifyBudgetProperty(t *testing.T) {
 	r := rng.New(3)
 	prop := func(hRaw uint16) bool {
 		h := float64(hRaw%400) + 10
-		alloc := WaterFill(h, []float64{
+		alloc := new(Filler).WaterFill(h, []float64{
 			r.Float64() * 50, r.Float64() * 50, r.Float64() * 50, r.Float64() * 50,
 		})
-		_, draw := RectifyDiscrete(m, ladder, h, alloc)
-		return Sum(draw) <= h+1e-6
+		_, draw := new(Filler).RectifyDiscrete(m, ladder, h, alloc)
+		return draw[0]+draw[1]+draw[2]+draw[3] <= h+1e-6
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -316,8 +316,9 @@ func BenchmarkWaterFill(b *testing.B) {
 	for i := range demands {
 		demands[i] = r.Float64() * 60
 	}
+	var f Filler
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		WaterFill(320, demands)
+		f.WaterFill(320, demands)
 	}
 }

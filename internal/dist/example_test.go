@@ -6,21 +6,21 @@ import (
 	"goodenough/internal/dist"
 )
 
-// ExampleWaterFill distributes a 60 W budget over three cores demanding
+// ExampleFiller_WaterFill distributes a 60 W budget over three cores demanding
 // 10, 40 and 40 W: the light core is satisfied first, and the rest of the
 // budget is split evenly over the two heavy cores.
-func ExampleWaterFill() {
-	alloc := dist.WaterFill(60, []float64{10, 40, 40})
+func ExampleFiller_WaterFill() {
+	alloc := new(dist.Filler).WaterFill(60, []float64{10, 40, 40})
 	fmt.Println(alloc)
 	// Output:
 	// [10 25 25]
 }
 
-// ExampleEqualShare is the light-load policy: every core gets the same
+// ExampleFiller_EqualShare is the light-load policy: every core gets the same
 // share regardless of demand, keeping speeds (and the convex power bill)
 // uniform.
-func ExampleEqualShare() {
-	fmt.Println(dist.EqualShare(320, 16)[0])
+func ExampleFiller_EqualShare() {
+	fmt.Println(new(dist.Filler).EqualShare(320, 16)[0])
 	// Output:
 	// 20
 }

@@ -162,23 +162,15 @@ func FuzzRectifyDiscrete(f *testing.F) {
 		}
 		m := powerDefault()
 		ladder := defaultLadder()
-		speeds, draw := RectifyDiscrete(m, ladder, h, alloc)
+		speeds, draw := new(Filler).RectifyDiscrete(m, ladder, h, alloc)
 		used := 0.0
 		for i := range speeds {
 			if speeds[i] < 0 {
 				t.Fatal("negative rectified speed")
 			}
-			if speeds[i] > 0 {
-				found := false
-				for _, s := range ladder.Speeds() {
-					if math.Abs(s-speeds[i]) < 1e-12 {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("speed %v not on the ladder", speeds[i])
-				}
+			// Up returns a ladder level unchanged and anything else raised.
+			if up, _ := ladder.Up(speeds[i]); speeds[i] > 0 && up != speeds[i] {
+				t.Fatalf("speed %v not on the ladder", speeds[i])
 			}
 			used += draw[i]
 		}

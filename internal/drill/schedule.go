@@ -60,20 +60,6 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind maps schedule-file names to Kinds.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "kill":
-		return Kill, nil
-	case "pause", "stop":
-		return Pause, nil
-	case "rolling", "roll":
-		return Rolling, nil
-	default:
-		return 0, fmt.Errorf("drill: unknown kind %q (kill|pause|rolling)", s)
-	}
-}
-
 // Event is one scheduled fault.
 type Event struct {
 	// At is the onset, measured from the moment traffic starts.

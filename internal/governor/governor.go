@@ -313,13 +313,6 @@ func (g *Governor) Cuts() int64 { return g.cuts.Load() }
 // Sheds reports how many admissions have been refused since start.
 func (g *Governor) Sheds() int64 { return g.sheds.Load() }
 
-// InFlight reports the number of registered, unfinished tickets.
-func (g *Governor) InFlight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.inflight)
-}
-
 // Admit is the admission verdict: false while the ladder sits at
 // shedding. Each refusal emits a shed decision carrying the load and
 // capacity the verdict rests on.

@@ -320,21 +320,28 @@ func TestRetryAfterFromDrainRate(t *testing.T) {
 
 // TestFinishIdempotent: double Finish returns the first verdict and the
 // in-flight set shrinks exactly once.
+// inFlight is the number of registered, unfinished tickets.
+func inFlight(g *Governor) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.inflight)
+}
+
 func TestFinishIdempotent(t *testing.T) {
 	clk := newTestClock()
 	queue := 0
 	g := newTestGovernor(t, Config{Budget: 8}, clk, &queue)
 	tk := g.Register(1.0, func() {}, obs.SpanContext{})
-	if g.InFlight() != 1 {
-		t.Fatalf("InFlight = %d, want 1", g.InFlight())
+	if inFlight(g) != 1 {
+		t.Fatalf("InFlight = %d, want 1", inFlight(g))
 	}
 	q1, c1 := tk.Finish()
 	q2, c2 := tk.Finish()
 	if q1 != q2 || c1 != c2 {
 		t.Fatalf("Finish not idempotent: (%v,%v) then (%v,%v)", q1, c1, q2, c2)
 	}
-	if g.InFlight() != 0 {
-		t.Fatalf("InFlight = %d after double Finish, want 0", g.InFlight())
+	if inFlight(g) != 0 {
+		t.Fatalf("InFlight = %d after double Finish, want 0", inFlight(g))
 	}
 }
 

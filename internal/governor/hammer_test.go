@@ -62,8 +62,8 @@ func TestGovernorRaceHammer(t *testing.T) {
 	if q, cut := tk.Finish(); cut || q != 1 {
 		t.Fatalf("post-stop Finish = (%v, %v), want (1, false)", q, cut)
 	}
-	if g.InFlight() != 0 {
-		t.Fatalf("InFlight = %d after hammer, want 0", g.InFlight())
+	if inFlight(g) != 0 {
+		t.Fatalf("InFlight = %d after hammer, want 0", inFlight(g))
 	}
 }
 

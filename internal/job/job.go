@@ -113,16 +113,6 @@ func (j *Job) Remaining() float64 {
 	return r
 }
 
-// RemainingFull returns the work still needed to process the entire
-// original demand (used when BQ mode removes the cut).
-func (j *Job) RemainingFull() float64 {
-	r := j.Demand - j.Processed
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
 // SetTarget moves the cutting target, clamped to [Processed, Demand].
 // It records a cut when the target decreases.
 func (j *Job) SetTarget(t float64) {
@@ -161,15 +151,6 @@ func (j *Job) Done() bool { return j.Processed >= j.Target-1e-9 }
 // Expired reports whether the job's deadline has passed at time t.
 func (j *Job) Expired(t float64) bool { return t >= j.Deadline }
 
-// Window returns the time remaining until the deadline at time t (>= 0).
-func (j *Job) Window(t float64) float64 {
-	w := j.Deadline - t
-	if w < 0 {
-		return 0
-	}
-	return w
-}
-
 // String implements fmt.Stringer for debugging.
 func (j *Job) String() string {
 	return fmt.Sprintf("J%d[r=%.3f d=%.3f p=%.0f tgt=%.0f done=%.0f %s]",
@@ -203,67 +184,6 @@ func SortEDF(jobs []*Job) {
 	slices.SortStableFunc(jobs, CompareEDF)
 }
 
-// SortByRelease orders jobs by arrival (FCFS order).
-func SortByRelease(jobs []*Job) {
-	slices.SortStableFunc(jobs, func(a, b *Job) int {
-		switch {
-		case a.Release < b.Release:
-			return -1
-		case a.Release > b.Release:
-			return 1
-		default:
-			return a.ID - b.ID
-		}
-	})
-}
-
-// SortByDemandDesc orders jobs longest-first (LJF order and the LF cutting
-// order).
-func SortByDemandDesc(jobs []*Job) {
-	slices.SortStableFunc(jobs, func(a, b *Job) int {
-		switch {
-		case a.Demand > b.Demand:
-			return -1
-		case a.Demand < b.Demand:
-			return 1
-		default:
-			return a.ID - b.ID
-		}
-	})
-}
-
-// SortByDemandAsc orders jobs shortest-first (SJF order).
-func SortByDemandAsc(jobs []*Job) {
-	slices.SortStableFunc(jobs, func(a, b *Job) int {
-		switch {
-		case a.Demand < b.Demand:
-			return -1
-		case a.Demand > b.Demand:
-			return 1
-		default:
-			return a.ID - b.ID
-		}
-	})
-}
-
-// TotalRemaining sums Remaining over the jobs.
-func TotalRemaining(jobs []*Job) float64 {
-	sum := 0.0
-	for _, j := range jobs {
-		sum += j.Remaining()
-	}
-	return sum
-}
-
-// TotalRemainingFull sums RemainingFull over the jobs.
-func TotalRemainingFull(jobs []*Job) float64 {
-	sum := 0.0
-	for _, j := range jobs {
-		sum += j.RemainingFull()
-	}
-	return sum
-}
-
 // FIFO is a simple waiting queue preserving arrival order.
 type FIFO struct {
 	jobs []*Job
@@ -275,19 +195,10 @@ func (q *FIFO) Push(j *Job) { q.jobs = append(q.jobs, j) }
 // Len returns the number of queued jobs.
 func (q *FIFO) Len() int { return len(q.jobs) }
 
-// Drain removes and returns all queued jobs in arrival order. The queue
-// gives up its backing array; callers on a hot path should prefer
-// AppendDrain, which keeps it.
-func (q *FIFO) Drain() []*Job {
-	out := q.jobs
-	q.jobs = nil
-	return out
-}
-
 // AppendDrain appends every queued job to dst in arrival order, empties the
-// queue, and returns the extended slice. Unlike Drain, the queue keeps its
-// backing array, so alternating AppendDrain/Push cycles stop allocating
-// once both slices reach their high-water marks.
+// queue, and returns the extended slice. The queue keeps its backing array,
+// so alternating AppendDrain/Push cycles stop allocating once both slices
+// reach their high-water marks.
 func (q *FIFO) AppendDrain(dst []*Job) []*Job {
 	dst = append(dst, q.jobs...)
 	for i := range q.jobs {
@@ -301,19 +212,8 @@ func (q *FIFO) AppendDrain(dst []*Job) []*Job {
 // mutate the returned slice.
 func (q *FIFO) Peek() []*Job { return q.jobs }
 
-// PopWhere removes and returns the first job satisfying pred, or nil.
-func (q *FIFO) PopWhere(pred func(*Job) bool) *Job {
-	for i, j := range q.jobs {
-		if pred(j) {
-			q.jobs = append(q.jobs[:i], q.jobs[i+1:]...)
-			return j
-		}
-	}
-	return nil
-}
-
-// PopJob removes and returns the given job if it is queued, or nil. It is
-// PopWhere specialized to pointer identity so hot callers need no closure.
+// PopJob removes and returns the given job if it is queued, or nil. It
+// matches by pointer identity, so hot callers need no closure.
 func (q *FIFO) PopJob(target *Job) *Job {
 	for i, j := range q.jobs {
 		if j == target {
@@ -325,8 +225,8 @@ func (q *FIFO) PopJob(target *Job) *Job {
 }
 
 // PopExpired removes and returns the first job whose deadline has passed at
-// time t, or nil. It is PopWhere specialized for the runner's expiry sweep,
-// which runs on every delivered event and must not allocate.
+// time t, or nil. It serves the runner's expiry sweep, which runs on every
+// delivered event and must not allocate.
 func (q *FIFO) PopExpired(t float64) *Job {
 	for i, j := range q.jobs {
 		if j.Expired(t) {

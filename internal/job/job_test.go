@@ -47,9 +47,6 @@ func TestRemaining(t *testing.T) {
 	if j.Remaining() != 50 {
 		t.Fatalf("remaining after cut to 200 = %v", j.Remaining())
 	}
-	if j.RemainingFull() != 250 {
-		t.Fatalf("remaining full = %v, want 250", j.RemainingFull())
-	}
 }
 
 func TestSetTargetClamps(t *testing.T) {
@@ -118,16 +115,6 @@ func TestDone(t *testing.T) {
 	}
 }
 
-func TestWindow(t *testing.T) {
-	j := New(1, 0, 0.15, 400)
-	if math.Abs(j.Window(0.05)-0.10) > 1e-12 {
-		t.Fatalf("window = %v", j.Window(0.05))
-	}
-	if j.Window(0.2) != 0 {
-		t.Fatalf("past-deadline window = %v, want 0", j.Window(0.2))
-	}
-}
-
 func mk(id int, release, deadline, demand float64) *Job {
 	return New(id, release, deadline, demand)
 }
@@ -148,48 +135,6 @@ func TestSortEDF(t *testing.T) {
 	}
 }
 
-func TestSortByRelease(t *testing.T) {
-	jobs := []*Job{mk(2, 0.2, 1, 1), mk(1, 0.1, 2, 1), mk(3, 0.2, 0.5, 1)}
-	SortByRelease(jobs)
-	if jobs[0].ID != 1 || jobs[1].ID != 2 || jobs[2].ID != 3 {
-		t.Fatalf("release order wrong: %v %v %v", jobs[0].ID, jobs[1].ID, jobs[2].ID)
-	}
-}
-
-func TestSortByDemand(t *testing.T) {
-	jobs := []*Job{mk(1, 0, 1, 300), mk(2, 0, 1, 900), mk(3, 0, 1, 130)}
-	SortByDemandDesc(jobs)
-	if jobs[0].Demand != 900 || jobs[2].Demand != 130 {
-		t.Fatal("LJF order wrong")
-	}
-	SortByDemandAsc(jobs)
-	if jobs[0].Demand != 130 || jobs[2].Demand != 900 {
-		t.Fatal("SJF order wrong")
-	}
-}
-
-func TestSortStability(t *testing.T) {
-	jobs := []*Job{mk(5, 0, 1, 100), mk(2, 0, 1, 100), mk(9, 0, 1, 100)}
-	SortByDemandDesc(jobs)
-	if jobs[0].ID != 2 || jobs[1].ID != 5 || jobs[2].ID != 9 {
-		t.Fatal("equal-demand ties should break by ID")
-	}
-}
-
-func TestTotals(t *testing.T) {
-	a := mk(1, 0, 1, 300)
-	a.Advance(100)
-	b := mk(2, 0, 1, 500)
-	b.SetTarget(200)
-	jobs := []*Job{a, b}
-	if got := TotalRemaining(jobs); got != 200+200 {
-		t.Fatalf("TotalRemaining = %v, want 400", got)
-	}
-	if got := TotalRemainingFull(jobs); got != 200+500 {
-		t.Fatalf("TotalRemainingFull = %v, want 700", got)
-	}
-}
-
 func TestFIFO(t *testing.T) {
 	var q FIFO
 	if q.Len() != 0 {
@@ -201,7 +146,7 @@ func TestFIFO(t *testing.T) {
 	if q.Len() != 3 {
 		t.Fatalf("queue len = %d", q.Len())
 	}
-	got := q.Drain()
+	got := q.AppendDrain(nil)
 	if len(got) != 3 || got[0].ID != 1 || got[2].ID != 3 {
 		t.Fatalf("drain order wrong: %v", got)
 	}
@@ -210,20 +155,22 @@ func TestFIFO(t *testing.T) {
 	}
 }
 
-func TestFIFOPopWhere(t *testing.T) {
+func TestFIFOPopJob(t *testing.T) {
 	var q FIFO
-	for i := 1; i <= 4; i++ {
-		q.Push(mk(i, 0, 1, float64(i*100)))
+	jobs := make([]*Job, 4)
+	for i := range jobs {
+		jobs[i] = mk(i+1, 0, 1, float64((i+1)*100))
+		q.Push(jobs[i])
 	}
-	j := q.PopWhere(func(j *Job) bool { return j.Demand == 300 })
+	j := q.PopJob(jobs[2])
 	if j == nil || j.ID != 3 {
-		t.Fatalf("PopWhere returned %v", j)
+		t.Fatalf("PopJob returned %v", j)
 	}
 	if q.Len() != 3 {
 		t.Fatalf("queue len after pop = %d", q.Len())
 	}
-	if q.PopWhere(func(j *Job) bool { return false }) != nil {
-		t.Fatal("PopWhere should return nil when nothing matches")
+	if q.PopJob(jobs[2]) != nil {
+		t.Fatal("PopJob should return nil when the job is not queued")
 	}
 }
 
@@ -323,18 +270,6 @@ func TestSortTieBreakers(t *testing.T) {
 	if jobs[0].ID != 2 {
 		t.Fatal("EDF ID tie-break wrong")
 	}
-	// SortByRelease equal releases break by ID.
-	jobs = []*Job{mk(9, 0.5, 1, 100), mk(2, 0.5, 1, 100)}
-	SortByRelease(jobs)
-	if jobs[0].ID != 2 {
-		t.Fatal("release ID tie-break wrong")
-	}
-	// SortByDemandAsc equal demands break by ID.
-	jobs = []*Job{mk(9, 0, 1, 100), mk(2, 0, 1, 100)}
-	SortByDemandAsc(jobs)
-	if jobs[0].ID != 2 {
-		t.Fatal("SJF ID tie-break wrong")
-	}
 }
 
 func TestRemainingNeverNegative(t *testing.T) {
@@ -343,9 +278,5 @@ func TestRemainingNeverNegative(t *testing.T) {
 	j.Target = 40 // force below processed, bypassing SetTarget
 	if j.Remaining() != 0 {
 		t.Fatalf("Remaining = %v, want clamp to 0", j.Remaining())
-	}
-	j.Processed = 150 // force above demand
-	if j.RemainingFull() != 0 {
-		t.Fatalf("RemainingFull = %v, want clamp to 0", j.RemainingFull())
 	}
 }

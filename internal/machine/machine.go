@@ -62,7 +62,6 @@ type Core struct {
 
 	energy  float64
 	busy    stats.TimeWeighted // speed profile over busy time only
-	total   stats.TimeWeighted // speed profile including idle time
 	done    int64
 	expired int64
 
@@ -95,18 +94,11 @@ func (c *Core) noteSpeed(t, s float64) {
 	c.obs.Observe(obs.Event{Time: t, Type: obs.EventCoreSpeed, Core: c.Index, Job: -1, Value: s})
 }
 
-// Now returns the core's local clock (kept in lockstep by the server).
-func (c *Core) Now() float64 { return c.now }
-
 // Energy returns the dynamic energy consumed so far, in joules.
 func (c *Core) Energy() float64 { return c.energy }
 
 // BusyProfile returns the time-weighted speed statistics over busy time.
 func (c *Core) BusyProfile() stats.TimeWeighted { return c.busy }
-
-// TotalProfile returns the speed statistics including idle periods
-// (idle = speed 0).
-func (c *Core) TotalProfile() stats.TimeWeighted { return c.total }
 
 // Completed and Expired report lifetime counters.
 func (c *Core) Completed() int64 { return c.done }
@@ -133,9 +125,6 @@ func (c *Core) AppendQueue(dst []*job.Job) []*job.Job {
 	}
 	return dst
 }
-
-// QueueLen returns the number of planned jobs.
-func (c *Core) QueueLen() int { return len(c.entries) }
 
 // Idle reports whether the core has nothing to run.
 func (c *Core) Idle() bool { return len(c.entries) == 0 }
@@ -236,12 +225,9 @@ func (c *Core) StuckSpeed() float64 { return c.stuck }
 // accumulate. The model supplies the power curve.
 func (c *Core) Advance(m power.Model, to float64, finalize FinalizeFunc) {
 	if c.failed {
-		// A failed core executes nothing and draws nothing. The dead span
-		// still enters the total profile at speed 0 so time conservation
-		// holds across the speed statistics.
+		// A failed core executes nothing and draws nothing.
 		if to > c.now {
 			c.noteSpeed(c.now, 0)
-			c.total.Add(0, to-c.now)
 			c.now = to
 		}
 		return
@@ -271,7 +257,6 @@ func (c *Core) Advance(m power.Model, to float64, finalize FinalizeFunc) {
 			if to > t {
 				c.noteSpeed(t, 0)
 			}
-			c.total.Add(0, to-t)
 			t = to
 			break
 		}
@@ -284,7 +269,6 @@ func (c *Core) Advance(m power.Model, to float64, finalize FinalizeFunc) {
 			}
 			if idleUntil > t {
 				c.noteSpeed(t, 0)
-				c.total.Add(0, idleUntil-t)
 				t = idleUntil
 			}
 			if head.Job.Expired(t) {
@@ -313,7 +297,6 @@ func (c *Core) Advance(m power.Model, to float64, finalize FinalizeFunc) {
 		head.Job.Advance(rate * dt)
 		c.energy += m.Energy(head.Speed, dt)
 		c.busy.Add(head.Speed, dt)
-		c.total.Add(head.Speed, dt)
 		t += dt
 		if head.Job.Done() {
 			c.finalizeHead(t, finalize, ReasonCompleted)
@@ -403,21 +386,6 @@ func (c *Core) DropExpired(now float64, finalize FinalizeFunc) int {
 	return dropped
 }
 
-// EarliestDeadline returns the soonest deadline among planned jobs, or
-// +Inf-like zero-value behavior via ok=false when the plan is empty.
-func (c *Core) EarliestDeadline() (float64, bool) {
-	if len(c.entries) == 0 {
-		return 0, false
-	}
-	min := c.entries[0].Job.Deadline
-	for _, e := range c.entries[1:] {
-		if e.Job.Deadline < min {
-			min = e.Job.Deadline
-		}
-	}
-	return min, true
-}
-
 // Server is the m-core machine. Cores may be heterogeneous: each has its
 // own power model (big.LITTLE-style platforms, the paper's "different
 // hardware platforms" future work). Model is the first core's model, kept
@@ -472,9 +440,6 @@ func NewHeterogeneousServer(models []power.Model) (*Server, error) {
 	return s, nil
 }
 
-// ModelFor returns the power model of core i.
-func (s *Server) ModelFor(i int) power.Model { return s.Models[i] }
-
 // SetObserver attaches an observability sink to every core (see
 // Core.SetObserver). Pass nil to detach.
 func (s *Server) SetObserver(o obs.Observer) {
@@ -485,9 +450,6 @@ func (s *Server) SetObserver(o obs.Observer) {
 
 // Now returns the machine clock.
 func (s *Server) Now() float64 { return s.now }
-
-// M returns the core count.
-func (s *Server) M() int { return len(s.Cores) }
 
 // Advance runs every core forward to time `to`. A backwards advance is a
 // corrupted event stream; it is reported as an error so the run degrades
@@ -573,15 +535,6 @@ func (s *Server) Energy() float64 {
 	return sum
 }
 
-// Loads returns each core's remaining target work in processing units.
-func (s *Server) Loads() []float64 {
-	loads := make([]float64, len(s.Cores))
-	for i, c := range s.Cores {
-		loads[i] = c.Load()
-	}
-	return loads
-}
-
 // AppendLoads appends each core's remaining work to dst and returns the
 // extended slice — the allocation-free form of Loads.
 func (s *Server) AppendLoads(dst []float64) []float64 {
@@ -605,15 +558,6 @@ func (s *Server) BusySpeedProfile() stats.TimeWeighted {
 	var w stats.TimeWeighted
 	for _, c := range s.Cores {
 		w.Merge(c.BusyProfile())
-	}
-	return w
-}
-
-// TotalSpeedProfile merges the per-core total (incl. idle) statistics.
-func (s *Server) TotalSpeedProfile() stats.TimeWeighted {
-	var w stats.TimeWeighted
-	for _, c := range s.Cores {
-		w.Merge(c.TotalProfile())
 	}
 	return w
 }

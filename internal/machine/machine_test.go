@@ -31,8 +31,8 @@ func TestNewServerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.M() != 16 {
-		t.Fatalf("M = %d", s.M())
+	if len(s.Cores) != 16 {
+		t.Fatalf("M = %d", len(s.Cores))
 	}
 }
 
@@ -155,8 +155,8 @@ func TestPartialAdvanceResumes(t *testing.T) {
 	if math.Abs(j.Processed-100) > 1e-6 {
 		t.Fatalf("processed after 0.1 s = %v", j.Processed)
 	}
-	if c.Now() != 0.1 {
-		t.Fatalf("clock = %v", c.Now())
+	if c.now != 0.1 {
+		t.Fatalf("clock = %v", c.now)
 	}
 	done := false
 	c.Advance(model(), 0.5, func(_ *job.Job, r Reason) { done = r == ReasonCompleted })
@@ -209,18 +209,11 @@ func TestIdleProfileAccounting(t *testing.T) {
 	c.SetPlan([]Entry{{Job: j, Speed: 2}}) // busy 0.1 s
 	c.Advance(model(), 1.0, nil)
 	busy := c.BusyProfile()
-	total := c.TotalProfile()
 	if math.Abs(busy.Duration()-0.1) > 1e-9 {
 		t.Fatalf("busy duration = %v, want 0.1", busy.Duration())
 	}
 	if math.Abs(busy.Mean()-2) > 1e-9 {
 		t.Fatalf("busy mean speed = %v, want 2", busy.Mean())
-	}
-	if math.Abs(total.Duration()-1.0) > 1e-9 {
-		t.Fatalf("total duration = %v, want 1.0", total.Duration())
-	}
-	if math.Abs(total.Mean()-0.2) > 1e-9 {
-		t.Fatalf("total mean speed = %v, want 0.2", total.Mean())
 	}
 }
 
@@ -248,19 +241,6 @@ func TestProjectedIdle(t *testing.T) {
 	empty := NewCore(1)
 	if got := empty.ProjectedIdle(2.5); got != 2.5 {
 		t.Fatalf("empty projected idle = %v, want now", got)
-	}
-}
-
-func TestEarliestDeadline(t *testing.T) {
-	c := NewCore(0)
-	if _, ok := c.EarliestDeadline(); ok {
-		t.Fatal("empty core should have no deadline")
-	}
-	j1 := bind(job.New(1, 0, 0.4, 100), 0)
-	j2 := bind(job.New(2, 0, 0.2, 100), 0)
-	c.SetPlan([]Entry{{Job: j1, Speed: 1}, {Job: j2, Speed: 1}})
-	if d, ok := c.EarliestDeadline(); !ok || d != 0.2 {
-		t.Fatalf("earliest deadline = %v/%v", d, ok)
 	}
 }
 
@@ -308,7 +288,7 @@ func TestLoads(t *testing.T) {
 	j2 := bind(job.New(2, 0, 1, 500), 1)
 	s.Cores[0].SetPlan([]Entry{{Job: j1, Speed: 1}})
 	s.Cores[1].SetPlan([]Entry{{Job: j2, Speed: 1}})
-	loads := s.Loads()
+	loads := s.AppendLoads(nil)
 	if math.Abs(loads[0]-200) > 1e-9 || math.Abs(loads[1]-500) > 1e-9 {
 		t.Fatalf("loads = %v", loads)
 	}
@@ -352,7 +332,7 @@ func TestAdvanceZeroWidthWindow(t *testing.T) {
 	j := bind(job.New(1, 0, 0.5, 100), 0)
 	c.SetPlan([]Entry{{Job: j, Speed: 1}})
 	c.Advance(model(), 0, nil) // no time passes
-	if j.Processed != 0 || c.Now() != 0 {
+	if j.Processed != 0 || c.now != 0 {
 		t.Fatalf("zero-width advance did work: %v", j.Processed)
 	}
 }
@@ -393,7 +373,7 @@ func TestDropExpired(t *testing.T) {
 	if n != 2 || len(dropped) != 2 {
 		t.Fatalf("dropped %d jobs (%v), want 2", n, dropped)
 	}
-	if c.QueueLen() != 1 || c.Queue()[0].ID != 2 {
+	if len(c.entries) != 1 || c.Queue()[0].ID != 2 {
 		t.Fatalf("queue after drop = %v", c.Queue())
 	}
 	if c.Expired() != 2 {
@@ -481,11 +461,11 @@ func TestHeterogeneousServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.M() != 2 {
-		t.Fatalf("M = %d", s.M())
+	if len(s.Cores) != 2 {
+		t.Fatalf("M = %d", len(s.Cores))
 	}
-	if s.ModelFor(1).A != 2 {
-		t.Fatalf("core 1 model = %+v", s.ModelFor(1))
+	if s.Models[1].A != 2 {
+		t.Fatalf("core 1 model = %+v", s.Models[1])
 	}
 	// Same speed, different clusters → different energy.
 	j0 := bind(job.New(1, 0, 1, 1000), 0)
@@ -564,9 +544,8 @@ func TestFailedCoreExecutesNothing(t *testing.T) {
 	if c.Energy() != 0 {
 		t.Fatalf("dead core consumed %v J", c.Energy())
 	}
-	prof := c.TotalProfile()
-	if got := prof.Mean(); got != 0 {
-		t.Fatalf("dead core mean speed = %v", got)
+	if got := c.busy.Duration(); got != 0 {
+		t.Fatalf("dead core ran for %v s", got)
 	}
 }
 

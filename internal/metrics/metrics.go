@@ -10,8 +10,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-
-	"goodenough/internal/plot"
 )
 
 // Sample is one observation of the running system.
@@ -69,9 +67,6 @@ func (t *Timeline) Record(s Sample) {
 	t.append(s)
 }
 
-// Force appends a sample regardless of thinning.
-func (t *Timeline) Force(s Sample) { t.append(s) }
-
 // Flush appends the most recent thinned-away sample, if any — call at the
 // end of a run so the final state is always retained regardless of the
 // thinning interval.
@@ -88,40 +83,8 @@ func (t *Timeline) append(s Sample) {
 	t.hasPending = false
 }
 
-// Samples returns the recorded series (not a copy; treat as read-only).
-func (t *Timeline) Samples() []Sample { return t.samples }
-
 // Len returns the number of recorded samples.
 func (t *Timeline) Len() int { return len(t.samples) }
-
-// Series extracts one named metric as a plot.Series.
-// Valid names: "quality", "power", "load", "waiting", "aes", "energy".
-func (t *Timeline) Series(name string) (plot.Series, error) {
-	xs := make([]float64, len(t.samples))
-	ys := make([]float64, len(t.samples))
-	for i, s := range t.samples {
-		xs[i] = s.Time
-		switch name {
-		case "quality":
-			ys[i] = s.Quality
-		case "power":
-			ys[i] = s.Power
-		case "load":
-			ys[i] = s.Load
-		case "waiting":
-			ys[i] = float64(s.Waiting)
-		case "aes":
-			if s.AES {
-				ys[i] = 1
-			}
-		case "energy":
-			ys[i] = s.Energy
-		default:
-			return plot.Series{}, fmt.Errorf("metrics: unknown series %q", name)
-		}
-	}
-	return plot.Series{Label: name, X: xs, Y: ys}, nil
-}
 
 // WriteCSV emits the full timeline. The fixed columns are
 // time_s,quality,power_w,load_units,waiting,aes,energy_j; when the samples

@@ -16,7 +16,7 @@ func TestTimelineThinning(t *testing.T) {
 		t.Fatalf("thinned to %d samples, want ~10", tl.Len())
 	}
 	prev := -10.0
-	for _, s := range tl.Samples() {
+	for _, s := range tl.samples {
 		if s.Time-prev < 1.0-1e-9 {
 			t.Fatalf("samples closer than the interval: %v after %v", s.Time, prev)
 		}
@@ -34,50 +34,12 @@ func TestTimelineNoThinning(t *testing.T) {
 	}
 }
 
-func TestTimelineForce(t *testing.T) {
-	tl := NewTimeline(10)
-	tl.Record(Sample{Time: 0})
-	tl.Record(Sample{Time: 1}) // thinned away
-	tl.Force(Sample{Time: 1})  // forced in
-	if tl.Len() != 2 {
-		t.Fatalf("force failed: %d samples", tl.Len())
-	}
-}
-
 func TestTimelineNegativeIntervalClamped(t *testing.T) {
 	tl := NewTimeline(-5)
 	tl.Record(Sample{Time: 0})
 	tl.Record(Sample{Time: 0})
 	if tl.Len() != 2 {
 		t.Fatal("negative interval should behave like 0")
-	}
-}
-
-func TestSeriesExtraction(t *testing.T) {
-	tl := NewTimeline(0)
-	tl.Record(Sample{Time: 1, Quality: 0.9, Power: 100, Load: 500, Waiting: 3, AES: true})
-	tl.Record(Sample{Time: 2, Quality: 0.8, Power: 200, Load: 700, Waiting: 5, AES: false})
-	cases := map[string][]float64{
-		"quality": {0.9, 0.8},
-		"power":   {100, 200},
-		"load":    {500, 700},
-		"waiting": {3, 5},
-		"aes":     {1, 0},
-	}
-	for name, want := range cases {
-		s, err := tl.Series(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if s.Y[0] != want[0] || s.Y[1] != want[1] {
-			t.Fatalf("%s series = %v, want %v", name, s.Y, want)
-		}
-		if s.X[0] != 1 || s.X[1] != 2 {
-			t.Fatalf("%s x axis = %v", name, s.X)
-		}
-	}
-	if _, err := tl.Series("nope"); err == nil {
-		t.Fatal("unknown series accepted")
 	}
 }
 
@@ -122,7 +84,7 @@ func TestTimelineFlushKeepsFinalSample(t *testing.T) {
 	if tl.Len() != 2 {
 		t.Fatalf("got %d samples, want 2 (first + flushed final)", tl.Len())
 	}
-	last := tl.Samples()[tl.Len()-1]
+	last := tl.samples[tl.Len()-1]
 	if last.Time != 2 || last.Quality != 0.7 {
 		t.Fatalf("final sample lost: got %+v", last)
 	}
@@ -139,18 +101,5 @@ func TestTimelineFlushNoPending(t *testing.T) {
 	tl.Flush() // nothing pending: the only sample was recorded
 	if tl.Len() != 1 {
 		t.Fatalf("flush with nothing pending appended: %d samples", tl.Len())
-	}
-}
-
-func TestEnergySeries(t *testing.T) {
-	tl := NewTimeline(0)
-	tl.Record(Sample{Time: 1, Energy: 10})
-	tl.Record(Sample{Time: 2, Energy: 30})
-	s, err := tl.Series("energy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Y[0] != 10 || s.Y[1] != 30 {
-		t.Fatalf("energy series = %v", s.Y)
 	}
 }

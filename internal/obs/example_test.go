@@ -6,19 +6,25 @@ import (
 	"goodenough/internal/obs"
 )
 
-// ExampleFunc shows the smallest possible custom observer: a function that
-// counts AES↔BQ mode switches and remembers the last mode. Attach any
-// Observer to a run with sched.Runner.SetObserver (or combine several with
-// obs.Multi); here the events are fed directly for a deterministic example.
-func ExampleFunc() {
-	var switches int
-	var lastAES bool
-	counter := obs.Func(func(e obs.Event) {
-		if e.Type == obs.EventModeSwitch {
-			switches++
-			lastAES = e.Flag
-		}
-	})
+// modeCounter is a small custom observer: it counts AES↔BQ mode switches
+// and remembers the last mode.
+type modeCounter struct {
+	switches int
+	lastAES  bool
+}
+
+func (m *modeCounter) Observe(e obs.Event) {
+	if e.Type == obs.EventModeSwitch {
+		m.switches++
+		m.lastAES = e.Flag
+	}
+}
+
+// ExampleEmit feeds a custom observer. Attach any Observer to a run with
+// sched.Runner.SetObserver (or combine several with obs.Multi); here the
+// events are fed directly for a deterministic example.
+func ExampleEmit() {
+	var counter modeCounter
 
 	// What a runner would emit as the compensation policy toggles modes.
 	stream := []obs.Event{
@@ -28,10 +34,10 @@ func ExampleFunc() {
 		{Time: 4.0, Type: obs.EventModeSwitch, Core: -1, Job: -1, Flag: false},
 	}
 	for _, e := range stream {
-		obs.Emit(counter, e)
+		obs.Emit(&counter, e)
 	}
 
-	fmt.Printf("mode switches: %d, in AES: %v\n", switches, lastAES)
+	fmt.Printf("mode switches: %d, in AES: %v\n", counter.switches, counter.lastAES)
 	// Output:
 	// mode switches: 3, in AES: false
 }

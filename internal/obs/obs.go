@@ -17,8 +17,7 @@
 //   - a plain-text run report (Collector.WriteReport): counters, gauges,
 //     histograms, and a per-core utilization/energy table.
 //
-// Custom observers are one function away (Func); Multi fans one stream out
-// to several observers.
+// Multi fans one stream out to several observers.
 package obs
 
 import "fmt"
@@ -215,12 +214,6 @@ func Emit(o Observer, e Event) {
 		o.Observe(e)
 	}
 }
-
-// Func adapts a plain function to an Observer.
-type Func func(e Event)
-
-// Observe implements Observer.
-func (f Func) Observe(e Event) { f(e) }
 
 // multi fans events out to several observers in order.
 type multi []Observer

@@ -36,13 +36,18 @@ func BenchmarkEmitCollector(b *testing.B) {
 	}
 }
 
+// observerFunc adapts a plain function to an Observer.
+type observerFunc func(Event)
+
+func (f observerFunc) Observe(e Event) { f(e) }
+
 func TestMulti(t *testing.T) {
 	if Multi() != nil || Multi(nil) != nil || Multi(nil, nil) != nil {
 		t.Fatal("Multi of nothing must collapse to nil")
 	}
 	var n1, n2 int
-	o1 := Func(func(Event) { n1++ })
-	o2 := Func(func(Event) { n2++ })
+	o1 := observerFunc(func(Event) { n1++ })
+	o2 := observerFunc(func(Event) { n2++ })
 	m := Multi(o1, nil, o2)
 	m.Observe(Event{})
 	m.Observe(Event{})
@@ -50,7 +55,7 @@ func TestMulti(t *testing.T) {
 		t.Fatalf("fan-out broken: %d, %d", n1, n2)
 	}
 	// A single observer comes back unwrapped.
-	if _, ok := Multi(o1).(Func); !ok {
+	if _, ok := Multi(o1).(observerFunc); !ok {
 		t.Fatal("Multi(o) should return o itself")
 	}
 }
@@ -72,13 +77,13 @@ func TestEventTypeStrings(t *testing.T) {
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a").Inc()
-	r.Counter("a").Add(2)
-	r.Counter("a").Add(-5) // ignored
+	r.Counter("a").Inc()
+	r.Counter("a").Inc()
 	if got := r.Counter("a").Value(); got != 3 {
 		t.Fatalf("counter = %d, want 3", got)
 	}
 	r.Gauge("g").Set(1.5)
-	r.Gauge("g").Add(0.5)
+	r.Gauge("g").Max(2.0)
 	r.Gauge("g").Max(1.0) // no-op, below current
 	if got := r.Gauge("g").Value(); got != 2.0 {
 		t.Fatalf("gauge = %v, want 2", got)

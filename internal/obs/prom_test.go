@@ -9,7 +9,9 @@ import (
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("requests_total").Add(42)
+	for i := 0; i < 42; i++ {
+		r.Counter("requests_total").Inc()
+	}
 	r.Gauge("inflight").Set(3.5)
 	h, err := r.Histogram("latency_seconds", []float64{0.1, 0.5, 1})
 	if err != nil {

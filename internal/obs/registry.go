@@ -13,13 +13,6 @@ type Counter struct{ v int64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.v++ }
 
-// Add adds n (negative deltas are ignored; counters only go up).
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v += n
-	}
-}
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v }
 
@@ -28,9 +21,6 @@ type Gauge struct{ v float64 }
 
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add shifts the value by d.
-func (g *Gauge) Add(d float64) { g.v += d }
 
 // Max keeps the maximum of the current value and v.
 func (g *Gauge) Max(v float64) {

@@ -31,13 +31,6 @@ func (r *SyncRegistry) Inc(name string) {
 	r.mu.Unlock()
 }
 
-// AddCounter adds n to the named counter (negative deltas are ignored).
-func (r *SyncRegistry) AddCounter(name string, n int64) {
-	r.mu.Lock()
-	r.reg.Counter(name).Add(n)
-	r.mu.Unlock()
-}
-
 // CounterValue reads the named counter (zero if it was never touched).
 func (r *SyncRegistry) CounterValue(name string) int64 {
 	r.mu.Lock()
@@ -49,13 +42,6 @@ func (r *SyncRegistry) CounterValue(name string) int64 {
 func (r *SyncRegistry) GaugeSet(name string, v float64) {
 	r.mu.Lock()
 	r.reg.Gauge(name).Set(v)
-	r.mu.Unlock()
-}
-
-// GaugeAdd shifts the named gauge by d.
-func (r *SyncRegistry) GaugeAdd(name string, d float64) {
-	r.mu.Lock()
-	r.reg.Gauge(name).Add(d)
 	r.mu.Unlock()
 }
 

@@ -73,9 +73,6 @@ func (m Model) Power(s float64) float64 {
 	return m.A * math.Pow(s, m.Beta)
 }
 
-// TotalPower returns dynamic plus static power at speed s.
-func (m Model) TotalPower(s float64) float64 { return m.Power(s) + m.Static }
-
 // Speed returns the highest speed in GHz sustainable within a dynamic power
 // allowance of p watts, respecting MaxSpeed when set.
 //
@@ -111,18 +108,6 @@ func Rate(s float64) float64 { return s * UnitsPerGHz }
 
 // SpeedForRate converts a processing rate in units/second to a speed in GHz.
 func SpeedForRate(rate float64) float64 { return rate / UnitsPerGHz }
-
-// EnergyForWork returns the minimal dynamic energy to process `work` units
-// within `dt` seconds at constant speed, i.e. running exactly at
-// work/(dt·UnitsPerGHz) GHz. Running at constant speed is optimal because
-// the power curve is convex (the paper's core-speed-thrashing argument).
-func (m Model) EnergyForWork(work, dt float64) float64 {
-	if work <= 0 || dt <= 0 {
-		return 0
-	}
-	s := SpeedForRate(work / dt)
-	return m.Energy(s, dt)
-}
 
 // Ladder is a sorted set of discrete speeds (GHz) available to a core under
 // discrete DVFS. The empty ladder means continuous scaling.
@@ -166,18 +151,8 @@ func UniformLadder(max float64, steps int) (*Ladder, error) {
 	return NewLadder(speeds)
 }
 
-// Speeds returns a copy of the ladder's speeds in ascending order.
-func (l *Ladder) Speeds() []float64 {
-	cp := make([]float64, len(l.speeds))
-	copy(cp, l.speeds)
-	return cp
-}
-
 // Max returns the fastest discrete speed.
 func (l *Ladder) Max() float64 { return l.speeds[len(l.speeds)-1] }
-
-// Min returns the slowest discrete speed.
-func (l *Ladder) Min() float64 { return l.speeds[0] }
 
 // Len returns the number of discrete levels.
 func (l *Ladder) Len() int { return len(l.speeds) }
@@ -205,20 +180,4 @@ func (l *Ladder) Down(s float64) (speed float64, ok bool) {
 		return 0, false
 	}
 	return l.speeds[i-1], true
-}
-
-// Nearest returns the discrete speed closest to s (ties round up).
-func (l *Ladder) Nearest(s float64) float64 {
-	up, okUp := l.Up(s)
-	down, okDown := l.Down(s)
-	switch {
-	case !okDown:
-		return l.Min()
-	case !okUp:
-		return l.Max()
-	case up-s < s-down || up-s == s-down:
-		return up
-	default:
-		return down
-	}
 }

@@ -46,6 +46,9 @@ func TestPowerEdges(t *testing.T) {
 	if m.Speed(-5) != 0 {
 		t.Fatal("Speed(negative) must clamp to 0")
 	}
+	if got := (Model{A: 5, Beta: 2, Static: 3}).Power(2); math.Abs(got-20) > 1e-12 {
+		t.Fatalf("Power must exclude static, got %v", got)
+	}
 }
 
 func TestSpeedRespectMaxSpeed(t *testing.T) {
@@ -84,16 +87,6 @@ func TestThrashingCostsEnergy(t *testing.T) {
 	}
 }
 
-func TestTotalPowerIncludesStatic(t *testing.T) {
-	m := Model{A: 5, Beta: 2, Static: 3}
-	if got := m.TotalPower(2); math.Abs(got-23) > 1e-12 {
-		t.Fatalf("TotalPower = %v, want 23", got)
-	}
-	if got := m.Power(2); math.Abs(got-20) > 1e-12 {
-		t.Fatalf("Power must exclude static, got %v", got)
-	}
-}
-
 func TestEnergy(t *testing.T) {
 	m := Default()
 	if got := m.Energy(2, 10); math.Abs(got-200) > 1e-12 {
@@ -110,23 +103,6 @@ func TestRateConversions(t *testing.T) {
 	}
 	if SpeedForRate(2000) != 2 {
 		t.Fatalf("SpeedForRate(2000) = %v, want 2", SpeedForRate(2000))
-	}
-}
-
-func TestEnergyForWork(t *testing.T) {
-	m := Default()
-	// 2000 units in 1 s needs 2 GHz → 20 W → 20 J.
-	if got := m.EnergyForWork(2000, 1); math.Abs(got-20) > 1e-12 {
-		t.Fatalf("EnergyForWork = %v, want 20", got)
-	}
-	if m.EnergyForWork(0, 1) != 0 || m.EnergyForWork(100, 0) != 0 {
-		t.Fatal("degenerate EnergyForWork should be 0")
-	}
-	// Stretching the deadline always saves energy (β > 1).
-	tight := m.EnergyForWork(1000, 0.5)
-	loose := m.EnergyForWork(1000, 1.0)
-	if loose >= tight {
-		t.Fatalf("longer window should cost less energy: %v vs %v", loose, tight)
 	}
 }
 
@@ -155,7 +131,7 @@ func TestNewLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []float64{0.5, 1.0, 1.5, 2.0}
-	got := l.Speeds()
+	got := l.speeds
 	if len(got) != len(want) {
 		t.Fatalf("ladder speeds = %v, want %v", got, want)
 	}
@@ -164,8 +140,8 @@ func TestNewLadder(t *testing.T) {
 			t.Fatalf("ladder speeds = %v, want %v", got, want)
 		}
 	}
-	if l.Min() != 0.5 || l.Max() != 2.0 || l.Len() != 4 {
-		t.Fatalf("ladder accessors wrong: min=%v max=%v len=%d", l.Min(), l.Max(), l.Len())
+	if l.Max() != 2.0 || l.Len() != 4 {
+		t.Fatalf("ladder accessors wrong: max=%v len=%d", l.Max(), l.Len())
 	}
 }
 
@@ -192,8 +168,8 @@ func TestUniformLadder(t *testing.T) {
 	if l.Len() != 16 {
 		t.Fatalf("uniform ladder len = %d, want 16", l.Len())
 	}
-	if math.Abs(l.Min()-0.2) > 1e-12 || math.Abs(l.Max()-3.2) > 1e-12 {
-		t.Fatalf("uniform ladder bounds = [%v, %v]", l.Min(), l.Max())
+	if math.Abs(l.speeds[0]-0.2) > 1e-12 || math.Abs(l.Max()-3.2) > 1e-12 {
+		t.Fatalf("uniform ladder bounds = [%v, %v]", l.speeds[0], l.Max())
 	}
 	if _, err := UniformLadder(0, 4); err == nil {
 		t.Error("invalid uniform ladder accepted")
@@ -206,20 +182,19 @@ func TestUniformLadder(t *testing.T) {
 func TestLadderUpDown(t *testing.T) {
 	l, _ := NewLadder([]float64{0.5, 1.0, 1.5, 2.0})
 	cases := []struct {
-		s       float64
-		up      float64
-		upOK    bool
-		down    float64
-		downOK  bool
-		nearest float64
+		s      float64
+		up     float64
+		upOK   bool
+		down   float64
+		downOK bool
 	}{
-		{0.3, 0.5, true, 0, false, 0.5},
-		{0.5, 0.5, true, 0.5, true, 0.5},
-		{0.7, 1.0, true, 0.5, true, 0.5},
-		{0.8, 1.0, true, 0.5, true, 1.0},
-		{0.75, 1.0, true, 0.5, true, 1.0}, // tie rounds up
-		{2.0, 2.0, true, 2.0, true, 2.0},
-		{2.5, 2.0, false, 2.0, true, 2.0},
+		{0.3, 0.5, true, 0, false},
+		{0.5, 0.5, true, 0.5, true},
+		{0.7, 1.0, true, 0.5, true},
+		{0.8, 1.0, true, 0.5, true},
+		{0.75, 1.0, true, 0.5, true},
+		{2.0, 2.0, true, 2.0, true},
+		{2.5, 2.0, false, 2.0, true},
 	}
 	for _, c := range cases {
 		up, okUp := l.Up(c.s)
@@ -230,9 +205,6 @@ func TestLadderUpDown(t *testing.T) {
 		if down != c.down || okDown != c.downOK {
 			t.Errorf("Down(%v) = (%v,%v), want (%v,%v)", c.s, down, okDown, c.down, c.downOK)
 		}
-		if n := l.Nearest(c.s); n != c.nearest {
-			t.Errorf("Nearest(%v) = %v, want %v", c.s, n, c.nearest)
-		}
 	}
 }
 
@@ -241,7 +213,7 @@ func TestLadderUpDown(t *testing.T) {
 func TestLadderBracketProperty(t *testing.T) {
 	l, _ := UniformLadder(3.2, 16)
 	member := func(v float64) bool {
-		for _, s := range l.Speeds() {
+		for _, s := range l.speeds {
 			if math.Abs(s-v) < 1e-12 {
 				return true
 			}

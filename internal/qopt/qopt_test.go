@@ -473,7 +473,7 @@ func BenchmarkAllocateEDFSmall(b *testing.B) {
 		n := 2 + r.Intn(3)
 		jobs := make([]*job.Job, n)
 		for k := range jobs {
-			jobs[k] = mkJob(k, 0.02+r.Float64()*0.13, r.BoundedPareto(3, 130, 1000))
+			jobs[k] = mkJob(k, 0.02+r.Float64()*0.13, rng.NewPareto(3, 130, 1000).Sample(r))
 			if r.Intn(2) == 0 {
 				jobs[k].Advance(r.Float64() * jobs[k].Demand / 2)
 			}

@@ -11,8 +11,7 @@
 // Q = Σ f(c_j) / Σ f(p_j).
 //
 // Besides the exponential family the package provides logarithmic,
-// power-law, and linear families used by the sensitivity study, and a
-// numeric inverse used by the LF job-cutting algorithm.
+// power-law, and linear families used by the sensitivity study.
 package quality
 
 import (
@@ -22,17 +21,15 @@ import (
 
 // Function maps a processed volume (in processing units) to a perceived
 // quality value. Implementations must be non-decreasing and concave on
-// [0, Xmax], with Value(0) == 0.
+// [0, xmax], with Value(0) == 0, where xmax is the volume at which quality
+// saturates (the largest possible job demand).
 type Function interface {
 	// Value returns the quality of processing x units. Inputs below zero
-	// clamp to zero; inputs above Xmax clamp to Value(Xmax).
+	// clamp to zero; inputs above xmax clamp to Value(xmax).
 	Value(x float64) float64
 	// Inverse returns the smallest volume x with Value(x) >= q. q above
-	// the maximum attainable quality returns Xmax; q <= 0 returns 0.
+	// the maximum attainable quality returns xmax; q <= 0 returns 0.
 	Inverse(q float64) float64
-	// Xmax is the volume at which quality saturates (the largest possible
-	// job demand).
-	Xmax() float64
 	// Name identifies the family for reports.
 	Name() string
 }
@@ -95,9 +92,6 @@ func (e *Exponential) Inverse(q float64) float64 {
 	return x
 }
 
-// Xmax implements Function.
-func (e *Exponential) Xmax() float64 { return e.XMax }
-
 // Name implements Function.
 func (e *Exponential) Name() string { return fmt.Sprintf("exp(c=%g)", e.C) }
 
@@ -151,9 +145,6 @@ func (l *Logarithmic) Inverse(q float64) float64 {
 	return math.Expm1(q*l.norm) / l.K
 }
 
-// Xmax implements Function.
-func (l *Logarithmic) Xmax() float64 { return l.XMax }
-
 // Name implements Function.
 func (l *Logarithmic) Name() string { return fmt.Sprintf("log(k=%g)", l.K) }
 
@@ -193,9 +184,6 @@ func (p *PowerLaw) Inverse(q float64) float64 {
 	}
 	return p.XMax * math.Pow(q, 1/p.Gamma)
 }
-
-// Xmax implements Function.
-func (p *PowerLaw) Xmax() float64 { return p.XMax }
 
 // Name implements Function.
 func (p *PowerLaw) Name() string { return fmt.Sprintf("pow(g=%g)", p.Gamma) }
@@ -238,98 +226,8 @@ func (l *Linear) Inverse(q float64) float64 {
 	return q * l.XMax
 }
 
-// Xmax implements Function.
-func (l *Linear) Xmax() float64 { return l.XMax }
-
 // Name implements Function.
 func (l *Linear) Name() string { return "linear" }
-
-// InverseNumeric computes Function.Inverse by bisection for families
-// without a closed form. It is exported so external quality functions can
-// reuse it, and it backs the paper's "binary search on the concave quality
-// function" step of LF cutting.
-func InverseNumeric(f Function, q float64) float64 {
-	if q <= 0 {
-		return 0
-	}
-	xmax := f.Xmax()
-	if q >= f.Value(xmax) {
-		return xmax
-	}
-	lo, hi := 0.0, xmax
-	for i := 0; i < 64 && hi-lo > 1e-9*xmax; i++ {
-		mid := (lo + hi) / 2
-		if f.Value(mid) < q {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}
-
-// Marginaler is implemented by quality families with a closed-form
-// derivative (Exponential has one; see Exponential.Marginal).
-type Marginaler interface {
-	Marginal(x float64) float64
-}
-
-// Marginal returns f'(x), the quality gained by the next unit of work at
-// volume x. Families that implement Marginaler answer in closed form; the
-// rest get a central finite difference over a step scaled to Xmax, which
-// is accurate enough for the governor's cut ordering (only the relative
-// order of marginals matters there, and concavity makes the difference
-// quotient monotone too).
-func Marginal(f Function, x float64) float64 {
-	if m, ok := f.(Marginaler); ok {
-		return m.Marginal(x)
-	}
-	xmax := f.Xmax()
-	if x < 0 {
-		x = 0
-	}
-	if x >= xmax {
-		return 0
-	}
-	h := 1e-6 * xmax
-	lo, hi := x-h, x+h
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > xmax {
-		hi = xmax
-	}
-	if hi <= lo {
-		return 0
-	}
-	return (f.Value(hi) - f.Value(lo)) / (hi - lo)
-}
-
-// Batch computes the paper's average quality Q = Σ f(c_j) / Σ f(p_j) over
-// parallel slices of processed volumes and total demands. Jobs with zero
-// demand contribute nothing. An empty or all-zero-demand batch has quality
-// 1 by convention (there is nothing to miss).
-func Batch(f Function, processed, demand []float64) float64 {
-	if len(processed) != len(demand) {
-		panic("quality: Batch slice length mismatch")
-	}
-	num, den := 0.0, 0.0
-	for i := range demand {
-		if demand[i] <= 0 {
-			continue
-		}
-		c := processed[i]
-		if c > demand[i] {
-			c = demand[i]
-		}
-		num += f.Value(c)
-		den += f.Value(demand[i])
-	}
-	if den == 0 {
-		return 1
-	}
-	return num / den
-}
 
 // Accumulator tracks batch quality incrementally as jobs finalize, which is
 // how the GE scheduler's online quality monitor observes the achieved
@@ -338,7 +236,6 @@ type Accumulator struct {
 	f        Function
 	achieved float64 // Σ f(c_j)
 	possible float64 // Σ f(p_j)
-	jobs     int
 }
 
 // NewAccumulator returns an empty accumulator over quality function f.
@@ -348,7 +245,7 @@ func NewAccumulator(f Function) *Accumulator {
 
 // Add records a finalized job with demand p of which c units were
 // processed, and returns the terms it added: f(c) and f(p). A job without
-// demand adds nothing, is not counted, and returns zero terms.
+// demand adds nothing and returns zero terms.
 func (a *Accumulator) Add(c, p float64) (achieved, possible float64) {
 	if p <= 0 {
 		return 0, 0
@@ -366,12 +263,10 @@ func (a *Accumulator) Add(c, p float64) (achieved, possible float64) {
 
 // AddTerms records one finalized job by the terms Add returned for it from
 // another accumulator over the same function, so a total merged from
-// per-machine monitors evaluates f once per job. It counts the job, so pass
-// only the terms of jobs with demand.
+// per-machine monitors evaluates f once per job.
 func (a *Accumulator) AddTerms(achieved, possible float64) {
 	a.achieved += achieved
 	a.possible += possible
-	a.jobs++
 }
 
 // Quality returns the cumulative quality. An empty accumulator reports 1.
@@ -382,18 +277,8 @@ func (a *Accumulator) Quality() float64 {
 	return a.achieved / a.possible
 }
 
-// Jobs returns how many jobs have been finalized.
-func (a *Accumulator) Jobs() int { return a.jobs }
-
 // Achieved returns Σ f(c_j) so far.
 func (a *Accumulator) Achieved() float64 { return a.achieved }
 
 // Possible returns Σ f(p_j) so far.
 func (a *Accumulator) Possible() float64 { return a.possible }
-
-// Clone returns an independent copy, used to evaluate hypothetical
-// scheduling decisions without disturbing the live monitor.
-func (a *Accumulator) Clone() *Accumulator {
-	cp := *a
-	return &cp
-}

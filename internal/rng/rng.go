@@ -104,15 +104,6 @@ func (r *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// BoundedPareto samples the bounded Pareto distribution with shape alpha on
-// [xmin, xmax] by inverse-CDF. This is the service-demand distribution used
-// throughout the paper (alpha=3, xmin=130, xmax=1000). A stream of draws
-// from one shape should hold a Pareto instead, which computes the
-// distribution's constants once.
-func (r *Source) BoundedPareto(alpha, xmin, xmax float64) float64 {
-	return NewPareto(alpha, xmin, xmax).Sample(r)
-}
-
 // Pareto is a bounded Pareto distribution with the constants of its
 // inverse CDF precomputed, so a draw costs one math.Pow.
 type Pareto struct {
@@ -162,48 +153,4 @@ func BoundedParetoMean(alpha, xmin, xmax float64) float64 {
 		(math.Pow(xmin, 1-alpha) - math.Pow(xmax, 1-alpha))
 	den := 1 - math.Pow(xmin/xmax, alpha)
 	return num / den
-}
-
-// Poisson returns a Poisson-distributed integer with the given mean using
-// Knuth's method for small means and normal approximation fallback for very
-// large means. It is used by workload tests, not the arrival process itself
-// (arrivals use Exp inter-arrival gaps).
-func (r *Source) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 500 {
-		// Normal approximation with continuity correction.
-		v := r.Normal()*math.Sqrt(mean) + mean + 0.5
-		if v < 0 {
-			return 0
-		}
-		return int(v)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// Normal returns a standard normal variate (Box-Muller).
-func (r *Source) Normal() float64 {
-	u1 := 1 - r.Float64() // (0, 1]
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// Shuffle permutes the first n elements using the Fisher-Yates algorithm,
-// calling swap(i, j) for each exchange.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -140,7 +140,7 @@ func TestUniformDegenerate(t *testing.T) {
 func TestBoundedParetoRange(t *testing.T) {
 	r := New(6)
 	for i := 0; i < 100000; i++ {
-		v := r.BoundedPareto(3, 130, 1000)
+		v := NewPareto(3, 130, 1000).Sample(r)
 		if v < 130 || v > 1000 {
 			t.Fatalf("BoundedPareto out of [130,1000]: %v", v)
 		}
@@ -161,7 +161,7 @@ func TestBoundedParetoEmpiricalMean(t *testing.T) {
 	const n = 400000
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		sum += r.BoundedPareto(3, 130, 1000)
+		sum += NewPareto(3, 130, 1000).Sample(r)
 	}
 	mean := sum / n
 	want := BoundedParetoMean(3, 130, 1000)
@@ -172,7 +172,7 @@ func TestBoundedParetoEmpiricalMean(t *testing.T) {
 
 func TestBoundedParetoDegenerate(t *testing.T) {
 	r := New(1)
-	if v := r.BoundedPareto(3, 100, 100); v != 100 {
+	if v := NewPareto(3, 100, 100).Sample(r); v != 100 {
 		t.Fatalf("degenerate bounded Pareto = %v, want 100", v)
 	}
 }
@@ -185,7 +185,7 @@ func TestBoundedParetoSkew(t *testing.T) {
 	vals := make([]float64, n)
 	sum := 0.0
 	for i := range vals {
-		vals[i] = r.BoundedPareto(3, 130, 1000)
+		vals[i] = NewPareto(3, 130, 1000).Sample(r)
 		sum += vals[i]
 	}
 	mean := sum / n
@@ -200,65 +200,6 @@ func TestBoundedParetoSkew(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	r := New(12)
-	const n = 200000
-	sum, sum2 := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.Normal()
-		sum += v
-		sum2 += v * v
-	}
-	mean := sum / n
-	variance := sum2/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	r := New(13)
-	for _, mean := range []float64{0.5, 4, 77, 900} {
-		const n = 20000
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			sum += float64(r.Poisson(mean))
-		}
-		got := sum / n
-		if math.Abs(got-mean)/math.Max(mean, 1) > 0.05 {
-			t.Fatalf("Poisson(%v) empirical mean = %v", mean, got)
-		}
-	}
-}
-
-func TestPoissonNonPositiveMean(t *testing.T) {
-	if v := New(1).Poisson(0); v != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", v)
-	}
-	if v := New(1).Poisson(-3); v != 0 {
-		t.Fatalf("Poisson(-3) = %d, want 0", v)
-	}
-}
-
-func TestShufflePermutation(t *testing.T) {
-	r := New(14)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make(map[int]bool)
-	for _, v := range xs {
-		if seen[v] {
-			t.Fatalf("shuffle duplicated element %d", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 10 {
-		t.Fatalf("shuffle lost elements: %v", xs)
-	}
-}
-
 // Property: BoundedPareto stays within its bounds for arbitrary valid
 // parameterizations.
 func TestBoundedParetoBoundsProperty(t *testing.T) {
@@ -267,7 +208,7 @@ func TestBoundedParetoBoundsProperty(t *testing.T) {
 		alpha := 0.5 + float64(a%40)/10 // 0.5 .. 4.4
 		xmin := 1 + float64(lo)
 		xmax := xmin + float64(span)
-		v := r.BoundedPareto(alpha, xmin, xmax)
+		v := NewPareto(alpha, xmin, xmax).Sample(r)
 		return v >= xmin && v <= xmax
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -300,7 +241,7 @@ func BenchmarkBoundedPareto(b *testing.B) {
 	r := New(1)
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += r.BoundedPareto(3, 130, 1000)
+		sink += NewPareto(3, 130, 1000).Sample(r)
 	}
 	_ = sink
 }
@@ -323,7 +264,7 @@ func TestBoundedParetoPanics(t *testing.T) {
 					t.Errorf("BoundedPareto(%v) did not panic", c)
 				}
 			}()
-			New(1).BoundedPareto(c[0], c[1], c[2])
+			NewPareto(c[0], c[1], c[2]).Sample(New(1))
 		}()
 	}
 }
@@ -335,7 +276,7 @@ func TestBoundedParetoMeanAlphaOne(t *testing.T) {
 	const n = 400000
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		sum += r.BoundedPareto(1, 100, 1000)
+		sum += NewPareto(1, 100, 1000).Sample(r)
 	}
 	got := sum / n
 	if math.Abs(got-want)/want > 0.02 {

@@ -715,19 +715,7 @@ func (r *Runner) finished() bool {
 	return true
 }
 
-// Monitor exposes the quality accumulator for tests.
-func (r *Runner) Monitor() *quality.Accumulator { return r.d.acc }
-
 // EventsProcessed reports how many kernel events the run delivered —
 // the numerator of the events/sec throughput metric in the benchmark
 // suite (scripts/bench_baseline.sh).
 func (r *Runner) EventsProcessed() int64 { return r.engine.Processed }
-
-// Server exposes the machine for tests.
-func (r *Runner) Server() *machine.Server { return r.d.server }
-
-// SpeedVarianceOverall returns the total (incl. idle) speed variance —
-// used by the Fig. 6 ablation alongside the busy-only variance.
-func (r *Runner) SpeedVarianceOverall() stats.TimeWeighted {
-	return r.d.server.TotalSpeedProfile()
-}

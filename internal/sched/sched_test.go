@@ -105,8 +105,14 @@ func TestEveryJobAccounted(t *testing.T) {
 			t.Fatalf("%s: %d jobs but %d completed + %d expired",
 				p.Name(), res.Jobs, res.Completed, res.Expired)
 		}
-		if r.Monitor().Jobs() != res.Jobs {
-			t.Fatalf("%s: monitor saw %d of %d jobs", p.Name(), r.Monitor().Jobs(), res.Jobs)
+		// Every job reached the quality monitor once: its Σf(p_j) is the
+		// stream's, up to summation order.
+		possible := 0.0
+		for _, j := range workload.NewGenerator(shortSpec(180, 3)).All() {
+			possible += Defaults().Quality.Value(j.Demand)
+		}
+		if got := r.d.acc.Possible(); math.Abs(got-possible) > 1e-9*possible {
+			t.Fatalf("%s: monitor saw Σf(p) = %v of the stream's %v", p.Name(), got, possible)
 		}
 	}
 }
@@ -374,20 +380,6 @@ func TestResultExposesScheduler(t *testing.T) {
 	}
 }
 
-func TestRunnerAccessors(t *testing.T) {
-	r, _ := NewRunner(Defaults(), NewFCFS(), shortSpec(100, 47))
-	if r.Server() == nil || r.Monitor() == nil {
-		t.Fatal("accessors returned nil")
-	}
-	if _, err := r.Run(); err != nil {
-		t.Fatal(err)
-	}
-	prof := r.SpeedVarianceOverall()
-	if prof.Duration() <= 0 {
-		t.Fatal("overall speed profile empty")
-	}
-}
-
 var _ = machine.ReasonCompleted // keep the import for FinalizeFunc docs
 
 func TestNewRunnerFromSource(t *testing.T) {
@@ -484,7 +476,7 @@ func TestEnergyMatchesSpeedMoments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		busy := r.Server().BusySpeedProfile()
+		busy := r.d.server.BusySpeedProfile()
 		integral := (busy.Variance() + busy.Mean()*busy.Mean()) * busy.Duration()
 		want := Defaults().Model.A * integral
 		if math.Abs(res.Energy-want) > 1e-6*math.Max(want, 1) {

@@ -134,9 +134,6 @@ func OpenJournal(path string) (*Journal, error) {
 // OpenJournal).
 func (j *Journal) Recovery() Recovery { return j.rec }
 
-// Incarnation returns this process's boot count in the journal.
-func (j *Journal) Incarnation() int64 { return j.inc }
-
 // Errs returns the number of journal writes that failed. A failing journal
 // never fails requests — durability of the ledger degrades, serving does
 // not — but the count is exported so operators notice.

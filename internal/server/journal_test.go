@@ -28,8 +28,8 @@ func TestJournalLifecycle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 
 	j1 := openTestJournal(t, path)
-	if j1.Incarnation() != 1 {
-		t.Fatalf("first incarnation = %d, want 1", j1.Incarnation())
+	if j1.inc != 1 {
+		t.Fatalf("first incarnation = %d, want 1", j1.inc)
 	}
 	if rec := j1.Recovery(); rec.PriorRecords != 0 || len(rec.Orphans) != 0 {
 		t.Fatalf("fresh journal recovery = %+v, want empty", rec)
@@ -41,8 +41,8 @@ func TestJournalLifecycle(t *testing.T) {
 
 	j2 := openTestJournal(t, path)
 	rec := j2.Recovery()
-	if j2.Incarnation() != 2 {
-		t.Fatalf("second incarnation = %d, want 2", j2.Incarnation())
+	if j2.inc != 2 {
+		t.Fatalf("second incarnation = %d, want 2", j2.inc)
 	}
 	if rec.Corrupt != 0 {
 		t.Fatalf("corrupt = %d on a cleanly written journal", rec.Corrupt)

@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics used by the metrics and
-// experiment layers: streaming (Welford) moments, time-weighted moments for
-// speed profiles, and simple quantiles.
+// experiment layers: time-weighted moments for speed profiles, and simple
+// quantiles.
 package stats
 
 import (
@@ -8,66 +8,6 @@ import (
 	"math/bits"
 	"slices"
 )
-
-// Running accumulates count/mean/variance in one pass (Welford's method).
-type Running struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds one observation in.
-func (r *Running) Add(x float64) {
-	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	delta := x - r.mean
-	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
-}
-
-// N returns the observation count.
-func (r *Running) N() int64 { return r.n }
-
-// Mean returns the sample mean (0 when empty).
-func (r *Running) Mean() float64 { return r.mean }
-
-// Variance returns the population variance (0 when n < 2).
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// Std returns the population standard deviation.
-func (r *Running) Std() float64 { return math.Sqrt(r.Variance()) }
-
-// Min returns the smallest observation (0 when empty).
-func (r *Running) Min() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.min
-}
-
-// Max returns the largest observation (0 when empty).
-func (r *Running) Max() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.max
-}
 
 // TimeWeighted accumulates the time-weighted mean and variance of a
 // piecewise-constant signal, e.g. a core's speed over the run. Samples are
@@ -228,19 +168,6 @@ func Mean(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {
 		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the population variance of xs.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		s += (x - m) * (x - m)
 	}
 	return s / float64(len(xs))
 }

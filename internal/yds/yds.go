@@ -6,8 +6,8 @@
 //
 // Two variants are provided:
 //
-//   - PlanCommonRelease: all jobs are available now (the situation at every
-//     scheduling event — whatever is queued on the core has already
+//   - AppendPlanCommonRelease: all jobs are available now (the situation at
+//     every scheduling event — whatever is queued on the core has already
 //     arrived). With a common release the optimal profile has a closed
 //     recursive form: repeatedly run the maximum-intensity prefix at its
 //     intensity, then recurse after that prefix's last deadline. Speeds are
@@ -39,25 +39,16 @@ type Assignment struct {
 	End   float64 // seconds
 }
 
-// PeakSpeed returns the minimal uniform speed (GHz) that completes every
+// PeakSpeedEDF returns the minimal uniform speed (GHz) that completes every
 // job's remaining target work by its deadline, i.e. the maximum prefix
 // intensity over the EDF order. It is the YDS critical speed for a common
-// release and also the per-core power demand used by Water-Filling.
-// Jobs whose deadlines have already passed contribute +Inf.
-func PeakSpeed(now float64, jobs []*job.Job) float64 {
-	if len(jobs) == 0 {
-		return 0
-	}
-	sorted := append([]*job.Job(nil), jobs...)
-	job.SortEDF(sorted)
-	return PeakSpeedEDF(now, sorted)
-}
-
-// PeakSpeedEDF is PeakSpeed for jobs already in EDF order (job.SortEDF).
-// It allocates nothing, so schedulers that keep an EDF-sorted scratch can
-// query peak demand on every trigger for free. The caller's ordering
-// contract matters: an unsorted slice gives a wrong (not merely different)
-// peak.
+// release and also the per-core power demand used by Water-Filling. Jobs
+// whose deadlines have already passed contribute +Inf.
+//
+// The jobs must already be in EDF order (job.SortEDF): an unsorted slice
+// gives a wrong (not merely different) peak. It allocates nothing, so
+// schedulers that keep an EDF-sorted scratch can query peak demand on every
+// trigger for free.
 func PeakSpeedEDF(now float64, jobs []*job.Job) float64 {
 	peak := 0.0
 	cum := 0.0
@@ -77,31 +68,20 @@ func PeakSpeedEDF(now float64, jobs []*job.Job) float64 {
 	return peak
 }
 
-// PlanCommonRelease computes the minimal-energy execution plan for jobs all
-// available at time now, optionally capped at speedCap GHz (0 = uncapped).
+// AppendPlanCommonRelease computes the minimal-energy execution plan for
+// jobs all available at time now and already in EDF order, optionally
+// capped at speedCap GHz (0 = uncapped). It appends the assignments to dst
+// (which may be a reused scratch slice with length 0) and returns the
+// extended slice; the input order is read, never mutated.
 //
-// The returned assignments are in EDF execution order with contiguous
-// windows. Without a cap the plan is exactly the YDS optimum and finishes
-// every job by its deadline. With a cap, groups whose YDS speed exceeds the
-// cap run at the cap; their windows may overrun deadlines and the surplus
-// work is lost at execution time (this is the controlled quality loss the
+// The assignments are in EDF execution order with contiguous windows.
+// Without a cap the plan is exactly the YDS optimum and finishes every job
+// by its deadline. With a cap, groups whose YDS speed exceeds the cap run
+// at the cap; their windows may overrun deadlines and the surplus work is
+// lost at execution time (this is the controlled quality loss the
 // scheduler accounts for via Quality-OPT).
 //
 // Jobs with no remaining work receive a zero-length assignment at speed 0.
-func PlanCommonRelease(now float64, jobs []*job.Job, speedCap float64) []Assignment {
-	if len(jobs) == 0 {
-		return nil
-	}
-	sorted := append([]*job.Job(nil), jobs...)
-	job.SortEDF(sorted)
-	return AppendPlanCommonRelease(make([]Assignment, 0, len(sorted)), now, sorted, speedCap)
-}
-
-// AppendPlanCommonRelease is PlanCommonRelease for jobs already in EDF
-// order, appending the assignments to dst (which may be a reused scratch
-// slice with length 0) and returning the extended slice. The input order is
-// read, never mutated. This is the allocation-free form the scheduler hot
-// path uses.
 func AppendPlanCommonRelease(dst []Assignment, now float64, sorted []*job.Job, speedCap float64) []Assignment {
 	if len(sorted) == 0 {
 		return dst
@@ -175,27 +155,6 @@ func AppendPlanCommonRelease(dst []Assignment, now float64, sorted []*job.Job, s
 		i = bestK + 1
 	}
 	return plan
-}
-
-// PlanEnergy returns the dynamic energy (joules) the plan would consume if
-// executed exactly as laid out, under the given power model.
-func PlanEnergy(m power.Model, plan []Assignment) float64 {
-	e := 0.0
-	for _, a := range plan {
-		e += m.Energy(a.Speed, a.End-a.Start)
-	}
-	return e
-}
-
-// Feasible reports whether the plan finishes every job's remaining target
-// by its deadline (within tol seconds).
-func Feasible(plan []Assignment, tol float64) bool {
-	for _, a := range plan {
-		if a.Job.Remaining() > 0 && a.End > a.Job.Deadline+tol {
-			return false
-		}
-	}
-	return true
 }
 
 // Group is one critical group of the general YDS algorithm: the listed

@@ -15,8 +15,41 @@ func mkJob(id int, release, deadline, demand float64) *job.Job {
 	return job.New(id, release, deadline, demand)
 }
 
+// edf returns a copy of jobs in EDF order, as the scheduler keeps them.
+func edf(jobs []*job.Job) []*job.Job {
+	sorted := append([]*job.Job(nil), jobs...)
+	job.SortEDF(sorted)
+	return sorted
+}
+
+func planEDF(now float64, jobs []*job.Job, speedCap float64) []Assignment {
+	return AppendPlanCommonRelease(nil, now, edf(jobs), speedCap)
+}
+
+func peakEDF(now float64, jobs []*job.Job) float64 { return PeakSpeedEDF(now, edf(jobs)) }
+
+// planEnergy is the dynamic energy of the plan executed as laid out.
+func planEnergy(m power.Model, plan []Assignment) float64 {
+	e := 0.0
+	for _, a := range plan {
+		e += m.Energy(a.Speed, a.End-a.Start)
+	}
+	return e
+}
+
+// feasible reports whether the plan finishes every job's remaining target
+// by its deadline, within tol seconds.
+func feasible(plan []Assignment, tol float64) bool {
+	for _, a := range plan {
+		if a.Job.Remaining() > 0 && a.End > a.Job.Deadline+tol {
+			return false
+		}
+	}
+	return true
+}
+
 func TestPeakSpeedEmpty(t *testing.T) {
-	if PeakSpeed(0, nil) != 0 {
+	if peakEDF(0, nil) != 0 {
 		t.Fatal("peak speed of empty set should be 0")
 	}
 }
@@ -24,7 +57,7 @@ func TestPeakSpeedEmpty(t *testing.T) {
 func TestPeakSpeedSingle(t *testing.T) {
 	// 300 units due in 150 ms → 2000 units/s → 2 GHz.
 	j := mkJob(1, 0, 0.150, 300)
-	if got := PeakSpeed(0, []*job.Job{j}); math.Abs(got-2) > 1e-9 {
+	if got := peakEDF(0, []*job.Job{j}); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("peak speed = %v GHz, want 2", got)
 	}
 }
@@ -33,19 +66,19 @@ func TestPeakSpeedPrefix(t *testing.T) {
 	// Two jobs: 100 units by 0.1 s, then 300 more by 0.4 s.
 	// Prefix intensities: 1000 u/s and 400/0.4 = 1000 u/s → 1 GHz.
 	jobs := []*job.Job{mkJob(1, 0, 0.1, 100), mkJob(2, 0, 0.4, 300)}
-	if got := PeakSpeed(0, jobs); math.Abs(got-1) > 1e-9 {
+	if got := peakEDF(0, jobs); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("peak speed = %v GHz, want 1", got)
 	}
 	// Make the first job dominant: 300 by 0.1 → 3 GHz.
 	jobs[0] = mkJob(1, 0, 0.1, 300)
-	if got := PeakSpeed(0, jobs); math.Abs(got-3) > 1e-9 {
+	if got := peakEDF(0, jobs); math.Abs(got-3) > 1e-9 {
 		t.Fatalf("peak speed = %v GHz, want 3", got)
 	}
 }
 
 func TestPeakSpeedExpired(t *testing.T) {
 	j := mkJob(1, 0, 0.1, 100)
-	if !math.IsInf(PeakSpeed(0.2, []*job.Job{j}), 1) {
+	if !math.IsInf(peakEDF(0.2, []*job.Job{j}), 1) {
 		t.Fatal("expired job with work should give infinite peak speed")
 	}
 }
@@ -55,7 +88,7 @@ func TestPlanTwoJobsClosedForm(t *testing.T) {
 	// w1=400 by d1=0.1 (4 GHz), w2=100 by d2=0.4.
 	// YDS: job1 at 4 GHz on [0, 0.1], job2 at 100/(0.3·1000)=0.333 GHz.
 	jobs := []*job.Job{mkJob(1, 0, 0.1, 400), mkJob(2, 0, 0.4, 100)}
-	plan := PlanCommonRelease(0, jobs, 0)
+	plan := planEDF(0, jobs, 0)
 	if len(plan) != 2 {
 		t.Fatalf("plan length = %d", len(plan))
 	}
@@ -72,13 +105,13 @@ func TestPlanTwoJobsClosedForm(t *testing.T) {
 	// Case 2: pooled: w1=100 by 0.1, w2=700 by 0.4 → both at
 	// (100+700)/0.4 = 2000 u/s = 2 GHz.
 	jobs = []*job.Job{mkJob(1, 0, 0.1, 100), mkJob(2, 0, 0.4, 700)}
-	plan = PlanCommonRelease(0, jobs, 0)
+	plan = planEDF(0, jobs, 0)
 	for _, a := range plan {
 		if math.Abs(a.Speed-2) > 1e-9 {
 			t.Fatalf("pooled speed = %v, want 2", a.Speed)
 		}
 	}
-	if !Feasible(plan, 1e-9) {
+	if !feasible(plan, 1e-9) {
 		t.Fatal("pooled plan infeasible")
 	}
 }
@@ -92,11 +125,11 @@ func TestPlanFeasibleAndOrdered(t *testing.T) {
 			d := 0.05 + r.Float64()*0.5
 			jobs[i] = mkJob(i, 0, d, 130+r.Float64()*870)
 		}
-		plan := PlanCommonRelease(0, jobs, 0)
+		plan := planEDF(0, jobs, 0)
 		if len(plan) != n {
 			t.Fatalf("trial %d: plan covers %d of %d jobs", trial, len(plan), n)
 		}
-		if !Feasible(plan, 1e-6) {
+		if !feasible(plan, 1e-6) {
 			t.Fatalf("trial %d: uncapped YDS plan infeasible", trial)
 		}
 		// Windows must be contiguous and non-overlapping in EDF order.
@@ -126,8 +159,8 @@ func TestPlanFirstGroupMatchesPeakSpeed(t *testing.T) {
 		for i := range jobs {
 			jobs[i] = mkJob(i, 0, 0.05+r.Float64()*0.4, 130+r.Float64()*870)
 		}
-		plan := PlanCommonRelease(0, jobs, 0)
-		peak := PeakSpeed(0, jobs)
+		plan := planEDF(0, jobs, 0)
+		peak := peakEDF(0, jobs)
 		if math.Abs(plan[0].Speed-peak) > 1e-6 {
 			t.Fatalf("trial %d: first group speed %v != peak %v", trial, plan[0].Speed, peak)
 		}
@@ -146,8 +179,8 @@ func TestPlanOptimalityAgainstJitteredFeasiblePlans(t *testing.T) {
 		for i := range jobs {
 			jobs[i] = mkJob(i, 0, 0.05+r.Float64()*0.4, 130+r.Float64()*870)
 		}
-		plan := PlanCommonRelease(0, jobs, 0)
-		opt := PlanEnergy(m, plan)
+		plan := planEDF(0, jobs, 0)
+		opt := planEnergy(m, plan)
 		for k := 0; k < 10; k++ {
 			alt := make([]Assignment, len(plan))
 			tcur := 0.0
@@ -160,10 +193,10 @@ func TestPlanOptimalityAgainstJitteredFeasiblePlans(t *testing.T) {
 				alt[i] = Assignment{Job: a.Job, Speed: sp, Start: tcur, End: tcur + dur}
 				tcur += dur
 			}
-			if !Feasible(alt, 1e-9) {
+			if !feasible(alt, 1e-9) {
 				t.Fatalf("trial %d: sped-up plan lost feasibility", trial)
 			}
-			if e := PlanEnergy(m, alt); e < opt-1e-6 {
+			if e := planEnergy(m, alt); e < opt-1e-6 {
 				t.Fatalf("trial %d: alternative beat YDS: %v < %v", trial, e, opt)
 			}
 		}
@@ -172,7 +205,7 @@ func TestPlanOptimalityAgainstJitteredFeasiblePlans(t *testing.T) {
 
 func TestPlanRespectsCap(t *testing.T) {
 	jobs := []*job.Job{mkJob(1, 0, 0.1, 400), mkJob(2, 0, 0.4, 100)}
-	plan := PlanCommonRelease(0, jobs, 1.5)
+	plan := planEDF(0, jobs, 1.5)
 	for _, a := range plan {
 		if a.Speed > 1.5+1e-12 {
 			t.Fatalf("cap violated: %v", a.Speed)
@@ -180,7 +213,7 @@ func TestPlanRespectsCap(t *testing.T) {
 	}
 	// 400 units at 1.5 GHz takes 0.267 s > 0.1 s deadline: plan overruns,
 	// which the machine converts into quality loss.
-	if Feasible(plan, 1e-9) {
+	if feasible(plan, 1e-9) {
 		t.Fatal("capped plan should be infeasible for this instance")
 	}
 }
@@ -188,7 +221,7 @@ func TestPlanRespectsCap(t *testing.T) {
 func TestPlanZeroWork(t *testing.T) {
 	j := mkJob(1, 0, 0.1, 100)
 	j.Advance(100)
-	plan := PlanCommonRelease(0, []*job.Job{j}, 0)
+	plan := planEDF(0, []*job.Job{j}, 0)
 	if len(plan) != 1 || plan[0].Speed != 0 || plan[0].Start != plan[0].End {
 		t.Fatalf("zero-work plan = %+v", plan)
 	}
@@ -198,7 +231,7 @@ func TestPlanExpiredJob(t *testing.T) {
 	// A job whose deadline passed still gets an assignment (the machine
 	// finalizes it); the plan must not crash or stall.
 	jobs := []*job.Job{mkJob(1, 0, 0.1, 100), mkJob(2, 0, 0.5, 200)}
-	plan := PlanCommonRelease(0.2, jobs, 2)
+	plan := planEDF(0.2, jobs, 2)
 	if len(plan) != 2 {
 		t.Fatalf("plan length = %d, want 2", len(plan))
 	}
@@ -210,7 +243,7 @@ func TestPlanExpiredJob(t *testing.T) {
 }
 
 func TestPlanEmpty(t *testing.T) {
-	if PlanCommonRelease(0, nil, 0) != nil {
+	if planEDF(0, nil, 0) != nil {
 		t.Fatal("empty plan should be nil")
 	}
 }
@@ -218,8 +251,8 @@ func TestPlanEmpty(t *testing.T) {
 func TestPlanEnergyKnownValue(t *testing.T) {
 	// One job: 300 units in 150 ms → 2 GHz → 20 W → 3 J over 0.15 s.
 	m := power.Default()
-	plan := PlanCommonRelease(0, []*job.Job{mkJob(1, 0, 0.150, 300)}, 0)
-	if got := PlanEnergy(m, plan); math.Abs(got-3) > 1e-9 {
+	plan := planEDF(0, []*job.Job{mkJob(1, 0, 0.150, 300)}, 0)
+	if got := planEnergy(m, plan); math.Abs(got-3) > 1e-9 {
 		t.Fatalf("energy = %v J, want 3", got)
 	}
 }
@@ -232,7 +265,7 @@ func TestGroupsGeneralCommonReleaseMatchesPlan(t *testing.T) {
 		for i := range jobs {
 			jobs[i] = mkJob(i, 0, 0.05+r.Float64()*0.4, 130+r.Float64()*870)
 		}
-		plan := PlanCommonRelease(0, jobs, 0)
+		plan := planEDF(0, jobs, 0)
 		groups := GroupsGeneral(jobs)
 		// Per-job speeds must agree between the two algorithms.
 		bySpeed := map[int]float64{}
@@ -249,7 +282,7 @@ func TestGroupsGeneralCommonReleaseMatchesPlan(t *testing.T) {
 		}
 		// And so must total energy.
 		m := power.Default()
-		if d := math.Abs(GroupsEnergy(m, jobs, groups) - PlanEnergy(m, plan)); d > 1e-6 {
+		if d := math.Abs(GroupsEnergy(m, jobs, groups) - planEnergy(m, plan)); d > 1e-6 {
 			t.Fatalf("trial %d: energy mismatch %v", trial, d)
 		}
 	}
@@ -333,9 +366,9 @@ func TestPeakSpeedMonotoneProperty(t *testing.T) {
 	prop := func(w1, w2, extra uint16) bool {
 		j1 := mkJob(1, 0, 0.15, float64(w1%1000)+1)
 		j2 := mkJob(2, 0, 0.30, float64(w2%1000)+1)
-		base := PeakSpeed(0, []*job.Job{j1, j2})
+		base := peakEDF(0, []*job.Job{j1, j2})
 		j2b := mkJob(2, 0, 0.30, float64(w2%1000)+1+float64(extra%500))
-		grown := PeakSpeed(0, []*job.Job{j1, j2b})
+		grown := peakEDF(0, []*job.Job{j1, j2b})
 		return grown >= base-1e-12
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
@@ -355,7 +388,7 @@ func TestPlanConservesWorkProperty(t *testing.T) {
 			jobs[i] = mkJob(i, 0, 0.05+r.Float64()*0.4, 130+r.Float64()*870)
 			total += jobs[i].Remaining()
 		}
-		plan := PlanCommonRelease(0, jobs, 0)
+		plan := planEDF(0, jobs, 0)
 		planned := 0.0
 		for _, a := range plan {
 			planned += power.Rate(a.Speed) * (a.End - a.Start)
@@ -373,9 +406,11 @@ func BenchmarkPlanCommonRelease(b *testing.B) {
 	for i := range jobs {
 		jobs[i] = mkJob(i, 0, 0.05+r.Float64()*0.4, 130+r.Float64()*870)
 	}
+	sorted := edf(jobs)
+	var plan []Assignment
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PlanCommonRelease(0, jobs, 0)
+		plan = AppendPlanCommonRelease(plan[:0], 0, sorted, 0)
 	}
 }
 
