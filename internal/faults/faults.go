@@ -342,12 +342,16 @@ func sortEvents(events []Event) {
 	})
 }
 
-// Renewal draws an alternating up/down renewal process from src: up for an
-// Exp(1/mtbf) time, down for an Exp(1/mttr) time, repeating until the
-// horizon. It calls outage once per down period that starts inside the
-// horizon, with the onset and the down time (which may end past the
-// horizon, so a failure is never left dangling).
-func Renewal(src *rng.Source, horizon, mtbf, mttr float64, outage func(at, down float64)) error {
+// maxExpectedOutages bounds the outages a generator may be asked for,
+// summed over its targets, before it draws any: the draws are held in
+// memory and no run context is consulted while they are made. 1e5 expected
+// outages take a fraction of a second to draw.
+const maxExpectedOutages = 1e5
+
+// checkRenewal rejects renewal parameters that are invalid, or whose
+// expected outage count over targets processes, targets × horizon /
+// (MTBF + MTTR), exceeds maxExpectedOutages.
+func checkRenewal(targets int, horizon, mtbf, mttr float64) error {
 	if math.IsNaN(horizon) || math.IsInf(horizon, 0) || horizon <= 0 {
 		return fmt.Errorf("faults: generator horizon %v must be finite and positive", horizon)
 	}
@@ -356,6 +360,23 @@ func Renewal(src *rng.Source, horizon, mtbf, mttr float64, outage func(at, down 
 	}
 	if math.IsNaN(mttr) || mttr <= 0 {
 		return fmt.Errorf("faults: MTTR %v must be positive", mttr)
+	}
+	if n := float64(targets) * horizon / (mtbf + mttr); n > maxExpectedOutages {
+		return fmt.Errorf("faults: %.4g expected outages (%d × horizon %v / (MTBF %v + MTTR %v)) exceed the limit of %g",
+			n, targets, horizon, mtbf, mttr, float64(maxExpectedOutages))
+	}
+	return nil
+}
+
+// Renewal draws an alternating up/down renewal process from src: up for an
+// Exp(1/mtbf) time, down for an Exp(1/mttr) time, repeating until the
+// horizon. It calls outage once per down period that starts inside the
+// horizon, with the onset and the down time (which may end past the
+// horizon, so a failure is never left dangling). Parameters expecting more
+// than maxExpectedOutages outages are rejected before any draw.
+func Renewal(src *rng.Source, horizon, mtbf, mttr float64, outage func(at, down float64)) error {
+	if err := checkRenewal(1, horizon, mtbf, mttr); err != nil {
+		return err
 	}
 	t := 0.0
 	for {
@@ -392,6 +413,9 @@ func generate(seed uint64, onset Kind, targets int, horizon, mtbf, mttr float64)
 	if targets <= 0 {
 		return nil, fmt.Errorf("faults: generator needs a positive %s count, got %d",
 			scopes[row.scope].target, targets)
+	}
+	if err := checkRenewal(targets, horizon, mtbf, mttr); err != nil {
+		return nil, err
 	}
 	var events []Event
 	root := rng.New(seed)

@@ -145,6 +145,28 @@ func TestGenerateRejectsBadParams(t *testing.T) {
 	}
 }
 
+// TestGenerateBoundsExpectedOutages checks the outage bound at its edge:
+// exactly maxExpectedOutages expected outages are drawn, one more horizon
+// second is rejected, and a tuple far above the bound fails before any
+// draw (drawing it would not finish).
+func TestGenerateBoundsExpectedOutages(t *testing.T) {
+	// 10 cores × 1e4 s / (0.75 s + 0.25 s) = 1e5 expected outages.
+	sch, err := Generate(1, 10, 1e4, 0.75, 0.25)
+	if err != nil {
+		t.Fatalf("at the limit: %v", err)
+	}
+	if n := sch.Len() / 2; n < 9e4 || n > 1.1e5 {
+		t.Fatalf("drew %d outages, want about 1e5", n)
+	}
+	if _, err := Generate(1, 10, 1e4+1, 0.75, 0.25); err == nil || !strings.Contains(err.Error(), "limit of 100000") {
+		t.Fatalf("above the limit: error %v, want the outage limit", err)
+	}
+	_, err = GenerateCluster(1, 1000, 1e6, 1e-3, 1e-3)
+	if err == nil || !strings.Contains(err.Error(), "5e+11 expected outages") || !strings.Contains(err.Error(), "limit of 100000") {
+		t.Fatalf("far above the limit: error %v, want the count and the limit", err)
+	}
+}
+
 func TestScheduleValidateCoreMismatch(t *testing.T) {
 	sch, err := New(Cores, []Spec{{At: 5, Kind: CoreFail, Target: 10, Duration: 1}}, 16, 0)
 	if err != nil {

@@ -110,6 +110,7 @@ func TestRunEndpointRejectsBadConfig(t *testing.T) {
 		{"invalid field value", `{"Scheduler":"nope"}`, "unknown scheduler"},
 		{"unknown json field", `{"Schedular":"ge"}`, "unknown field"},
 		{"malformed json", `{"DurationSec":`, "bad config"},
+		{"unbounded fault schedule", `{"DurationSec":1e6,"FaultMTBFSec":0.001,"FaultMTTRSec":0.001}`, "exceed the limit of 100000"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
