@@ -19,9 +19,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -49,9 +51,15 @@ func parseSpecs(arg string) ([]chaos.Spec, error) {
 		}
 		raw = b
 	}
+	// Strict: a misspelled key must not silently drop a field.
 	var js []jsonSpec
-	if err := json.Unmarshal(raw, &js); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&js); err != nil {
 		return nil, fmt.Errorf("parsing -spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("parsing -spec: trailing data after the schedule")
 	}
 	specs := make([]chaos.Spec, 0, len(js))
 	for _, j := range js {

@@ -39,6 +39,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -56,9 +57,16 @@ func parseChaos(arg string) ([]goodenough.MachineFaultSpec, error) {
 		}
 		raw = b
 	}
+	// Strict: a misspelled key must not silently drop a field (a "duraton"
+	// would make a bounded crash permanent).
 	var specs []goodenough.MachineFaultSpec
-	if err := json.Unmarshal(raw, &specs); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&specs); err != nil {
 		return nil, fmt.Errorf("parsing -chaos: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("parsing -chaos: trailing data after the schedule")
 	}
 	return specs, nil
 }

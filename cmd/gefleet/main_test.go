@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"goodenough"
@@ -48,5 +49,18 @@ func TestParseChaosFile(t *testing.T) {
 	}
 	if _, err := parseChaos(`[{"at": "soon"}]`); err == nil {
 		t.Fatal("malformed -chaos accepted")
+	}
+}
+
+// TestParseChaosRejectsUnknownKey: a misspelled key is an error naming the
+// key, not a silently dropped field ("duraton" would make machine 1's crash
+// last to the end of the run), and so is trailing data.
+func TestParseChaosRejectsUnknownKey(t *testing.T) {
+	_, err := parseChaos(`[{"at":2,"kind":"crash","machine":1,"duraton":3}]`)
+	if err == nil || !strings.Contains(err.Error(), `"duraton"`) {
+		t.Fatalf("misspelled key: error %v, want one naming \"duraton\"", err)
+	}
+	if _, err := parseChaos(`[{"at":2,"kind":"crash","machine":1,"duration":3}] x`); err == nil {
+		t.Fatal("trailing data accepted")
 	}
 }
