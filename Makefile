@@ -80,6 +80,7 @@ sweep-fast:
 fuzz:
 	$(GO) test -fuzz FuzzLongestFirst -fuzztime 30s ./internal/cut/
 	$(GO) test -fuzz FuzzWaterFill -fuzztime 30s ./internal/dist/
+	$(GO) test -fuzz FuzzRectifyDiscrete -fuzztime 30s ./internal/dist/
 	$(GO) test -fuzz FuzzAllocateEDF -fuzztime 30s ./internal/qopt/
 	$(GO) test -fuzz FuzzKernelVsReference -fuzztime 30s ./internal/sim/
 	$(GO) test -fuzz FuzzQuantile -fuzztime 30s ./internal/stats/
