@@ -36,9 +36,10 @@ type Result struct {
 
 // Cutter owns the scratch buffers for LF cutting so a scheduler invoking it
 // every trigger allocates nothing in steady state. Each job's f(demand) is
-// evaluated exactly once per pass into fvals — the batch denominator
-// Σf(p_j), the level-walk terms, and the uncut tail all reuse the memoized
-// values bit-for-bit, cutting the number of exp() evaluations roughly 3×.
+// read once per pass into fvals — from the job's FDemand, stored when it
+// entered its machine, or evaluated for a job with none stored — and the
+// batch denominator Σf(p_j), the level-walk terms, and the uncut tail all
+// reuse the memoized values bit-for-bit.
 // A Cutter is not goroutine-safe; give each scheduler its own (the zero
 // value is ready to use).
 type Cutter struct {
@@ -143,7 +144,10 @@ func (c *Cutter) level(jobs []*job.Job, f quality.Function, qge float64) (cutCou
 	c.order = c.order[:0]
 	for i, j := range jobs {
 		c.demands = append(c.demands, j.Demand)
-		v := f.Value(j.Demand)
+		v := j.FDemand // stored when the job entered its machine
+		if v == 0 {
+			v = f.Value(j.Demand)
+		}
 		c.fvals = append(c.fvals, v)
 		c.order = append(c.order, i)
 		fullQ += v

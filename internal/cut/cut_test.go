@@ -357,6 +357,40 @@ func TestQualityMatchesPerJobEvaluation(t *testing.T) {
 	}
 }
 
+// TestStoredFDemandMatchesEvaluation pins LF cutting on jobs carrying the
+// f(p_j) a machine stored when queuing them to the same targets and the same
+// Result, bit for bit, as on identical jobs with nothing stored.
+func TestStoredFDemandMatchesEvaluation(t *testing.T) {
+	r := rng.New(11)
+	for _, f := range []quality.Function{paperF(), quality.NewPowerLaw(0.5, 1000)} {
+		for trial := 0; trial < 300; trial++ {
+			bare := make([]*job.Job, 1+r.Intn(24))
+			stored := make([]*job.Job, len(bare))
+			for i := range bare {
+				bare[i] = job.New(i, 0, 0.15, float64(130+10*r.Intn(88)))
+				if r.Intn(3) == 0 {
+					bare[i].Processed = r.Uniform(0, bare[i].Demand)
+				}
+				c := *bare[i]
+				c.FDemand = f.Value(c.Demand)
+				stored[i] = &c
+			}
+			qge := r.Uniform(0.3, 0.99)
+			want := LongestFirst(bare, f, qge)
+			got := LongestFirst(stored, f, qge)
+			if got != want {
+				t.Fatalf("%s trial %d: stored f(p) result %+v, evaluated %+v", f.Name(), trial, got, want)
+			}
+			for i := range bare {
+				if math.Float64bits(stored[i].Target) != math.Float64bits(bare[i].Target) {
+					t.Fatalf("%s trial %d job %d: stored f(p) target %v, evaluated %v",
+						f.Name(), trial, i, stored[i].Target, bare[i].Target)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkLongestFirst(b *testing.B) {
 	f := paperF()
 	r := rng.New(1)

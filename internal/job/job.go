@@ -51,6 +51,12 @@ type Job struct {
 	Deadline float64
 	// Demand is the full processing demand p_j in processing units.
 	Demand float64
+	// FDemand is f(p_j) under the quality function of the machine that
+	// queued the job, stored when the job enters the machine so cutting and
+	// finalization read it instead of evaluating f again. Zero means not
+	// stored: a job that never entered a machine has f evaluated where it
+	// is needed.
+	FDemand float64
 
 	// Target is the volume the scheduler currently intends to process
 	// (c_j after cutting). It starts equal to Demand and only ever moves

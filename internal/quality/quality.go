@@ -250,15 +250,22 @@ func (a *Accumulator) Add(c, p float64) (achieved, possible float64) {
 	if p <= 0 {
 		return 0, 0
 	}
-	if c > p {
-		c = p
+	return a.AddKnown(c, p, a.f.Value(p))
+}
+
+// AddKnown is Add for a job whose f(p) the caller already holds as fp, so
+// f is evaluated at most once, for c: not at all when the job was served in
+// full. fp must equal the accumulator's function at p.
+func (a *Accumulator) AddKnown(c, p, fp float64) (achieved, possible float64) {
+	if p <= 0 {
+		return 0, 0
 	}
-	if c < 0 {
-		c = 0
+	achieved = fp
+	if c < p {
+		achieved = a.f.Value(max(c, 0))
 	}
-	achieved, possible = a.f.Value(c), a.f.Value(p)
-	a.AddTerms(achieved, possible)
-	return achieved, possible
+	a.AddTerms(achieved, fp)
+	return achieved, fp
 }
 
 // AddTerms records one finalized job by the terms Add returned for it from

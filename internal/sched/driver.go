@@ -210,12 +210,14 @@ func (d *Driver) Settle(now float64) (bool, error) {
 	return true, d.expireWaiting(now)
 }
 
-// Enqueue queues an arrived job and counts it in the rate window. Waiting
-// jobs due by now expire first; the cores are left alone.
+// Enqueue queues an arrived job, storing its f(p_j) for cutting and
+// finalization, and counts it in the rate window. Waiting jobs due by now
+// expire first; the cores are left alone.
 func (d *Driver) Enqueue(now float64, j *job.Job) error {
 	if err := d.expireWaiting(now); err != nil {
 		return err
 	}
+	j.FDemand = d.cfg.Quality.Value(j.Demand)
 	d.noteArrival(now)
 	return d.push(j)
 }
@@ -518,7 +520,11 @@ func (d *Driver) Expire(j *job.Job, finish, at float64, core int) {
 // record adds a finalized job to the quality monitor and buffers its
 // finalization record.
 func (d *Driver) record(j *job.Job, completed bool) {
-	achieved, possible := d.acc.Add(j.Processed, j.Demand)
+	fp := j.FDemand // stored by Enqueue
+	if fp == 0 {
+		fp = d.cfg.Quality.Value(j.Demand)
+	}
+	achieved, possible := d.acc.AddKnown(j.Processed, j.Demand, fp)
 	r := Final{Job: j, Achieved: achieved, Possible: possible, Response: -1}
 	if completed {
 		r.Response = j.Finish - j.Release

@@ -6,6 +6,7 @@ import (
 	"goodenough/internal/job"
 	"goodenough/internal/machine"
 	"goodenough/internal/obs"
+	"goodenough/internal/quality"
 	"goodenough/internal/rng"
 	"goodenough/internal/sim"
 )
@@ -348,5 +349,45 @@ func TestRearmIdleReschedulesOrReplaces(t *testing.T) {
 	}
 	if len(woke) != 2 || woke[1] != fresh.at {
 		t.Fatalf("idle wakeups delivered at %v, want a second at %v", woke, fresh.at)
+	}
+}
+
+// TestEnqueueStoresFDemand queues a job that is served and one that expires
+// unplanned, each carrying a stale f(p_j) as a job re-routed from another
+// machine might. Enqueue must overwrite it with f(p_j), and each
+// finalization record must carry, bit for bit, the terms Accumulator.Add
+// computes from scratch.
+func TestEnqueueStoresFDemand(t *testing.T) {
+	cfg := Defaults()
+	f := newTestFleet(t, cfg, &pinPolicy{speed: 2}, &pinPolicy{})
+	jobs := []*job.Job{job.New(1, 0, 0.15, 300), job.New(2, 0, 0.15, 900)}
+	for m, j := range jobs {
+		j.FDemand = 0.5
+		f.arrive(m, 0, j)
+		if want := cfg.Quality.Value(j.Demand); j.FDemand != want {
+			t.Fatalf("job %d: stored f(p) %v after Enqueue, want %v", j.ID, j.FDemand, want)
+		}
+	}
+	if err := f.engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for m, d := range f.d {
+		if _, err := d.Settle(1); err != nil {
+			t.Fatal(err)
+		}
+		recs := d.Finals()
+		if len(recs) != 1 || recs[0].Job != jobs[m] {
+			t.Fatalf("machine %d: finals %+v, want one for job %d", m, recs, jobs[m].ID)
+		}
+		j := jobs[m]
+		achieved, possible := quality.NewAccumulator(cfg.Quality).Add(j.Processed, j.Demand)
+		if recs[0].Achieved != achieved || recs[0].Possible != possible {
+			t.Fatalf("machine %d: record terms (%v, %v), Add computes (%v, %v)",
+				m, recs[0].Achieved, recs[0].Possible, achieved, possible)
+		}
+	}
+	if jobs[0].Processed != jobs[0].Demand || jobs[1].Processed != 0 {
+		t.Fatalf("processed %v and %v; want one job served in full and one not at all",
+			jobs[0].Processed, jobs[1].Processed)
 	}
 }
