@@ -4,16 +4,19 @@
 //
 // The run alternates two phases. In the *global phase* (main goroutine) the
 // dispatcher processes arrivals, routing decisions, parked-job deadlines,
-// quantum ticks, and machine faults in one globally ordered stream. Routing
-// a job posts a push event on the ordered lane of the target machine's shard
-// engine. In the *shard phase*, every shard drains its engine up to the next
-// barrier instant — workers in parallel when K > 1, inline when K == 1 —
-// delivering pushes, per-core idle wakeups, and one expiry wakeup per
-// machine to its own machines only, then settles each of its machines to
-// the barrier instant and samples the view signals of every machine it
-// touched. Machines in different shards never share mutable state. Between
-// barriers only machines with due events are touched, and only an idle
-// wakeup or an arrival that may fire a trigger advances a machine's cores.
+// quantum ticks, and machine faults in one globally ordered stream; a
+// producer goroutine draws the arrivals ahead of it (arrivals.go), so on the
+// arrival path the global phase only routes. Routing a job stages it on the
+// target machine's shard. In the *shard phase*, every shard posts the routes
+// staged for it on its engine's ordered lane, in routing order, and drains
+// its engine up to the next barrier instant — workers in parallel when
+// K > 1, inline when K == 1 — delivering routed jobs, per-core idle
+// wakeups, and one expiry wakeup per machine to its own machines only, then
+// settles each of its machines to the barrier instant and samples the view
+// signals of every machine it touched. Machines in different shards never
+// share mutable state. Between barriers only machines with due events are
+// touched, and only an idle wakeup or an arrival that may fire a trigger
+// advances a machine's cores.
 //
 // Determinism for every K rests on three invariants. (1) The barrier
 // instants — quantum ticks, machine faults, end of run — come from the
@@ -21,7 +24,12 @@
 // sequence of barrier instants. (2) A machine's progression depends only on
 // events addressed to it, which are identical for every K; within one shard
 // engine, (time, kind-priority, seq) ordering reduces to per-machine
-// delivery order because same-instant cross-machine events are independent.
+// delivery order because same-instant cross-machine events are independent;
+// and posting routes in the shard phase, not as they are routed, changes
+// only how sequence numbers interleave across kinds: routes reach the lane
+// in routing order, the shard's only other events are idle and expiry
+// wakeups, and at equal times those sort after arrivals by kind, so no
+// delivery moves.
 // (3) All cross-machine effects — observer events, decision records,
 // response-time samples, quality terms, job recycling, view signals — are
 // buffered per machine and replayed at the barrier flush in machine-index
@@ -48,26 +56,62 @@ type shard struct {
 	nodes  []*node
 	err    error
 
-	// inbox carries routed jobs from the global phase to this shard's
-	// machines. Push events index into it via Ref; head marks the next
-	// undelivered slot, and the ring resets whenever it fully drains, so
-	// steady state reuses one backing array.
-	inbox     []*job.Job
-	inboxHead int
+	// routes holds the jobs the global phase routed to this shard's
+	// machines, in routing order. The global phase appends; the shard's
+	// phases post routes[:posted] on its engine's ordered lane and deliver
+	// routes[:delivered]. The slice resets once every route is delivered,
+	// so steady state reuses one backing array.
+	routes    []route
+	posted    int
+	delivered int
 }
 
-// push posts delivery of a routed job to machine n at time now on the
-// shard engine's ordered lane: the global phase routes at non-decreasing
-// instants, so the lane takes pushes in delivery order. The machine's driver
-// arms its own expiry wakeup when the job lands, so a job re-routed across
-// shards expires on the machine that holds it.
-func (s *shard) push(now float64, n *node, j *job.Job) error {
-	if s.inboxHead == len(s.inbox) {
-		s.inbox = s.inbox[:0]
-		s.inboxHead = 0
+// route is one job routed to a machine: the routing instant, and the
+// remaining work the routing counted in flight on the machine, which
+// delivery takes back without reading the job.
+type route struct {
+	at        float64
+	job       *job.Job
+	remaining float64
+	machine   int
+}
+
+// postBatch is how many routes a shard posts on its lane before it delivers
+// them: a batch, not an epoch of routes, is what the lane ring holds.
+const postBatch = 256
+
+// drain posts the routes staged since the shard's last phase on its
+// engine's ordered lane and delivers its events before until. The global
+// phase routes at non-decreasing instants, no earlier than the instant the
+// shard last drained to, so the lane takes the routes in delivery order.
+// Each batch is delivered up to the first route not yet posted before the
+// next batch is posted, which delivers every event where posting them all
+// at once would: nothing delivered so far is due at or after that route.
+// The machine's driver arms its own expiry wakeup when a job lands, so a
+// job re-routed across shards expires on the machine that holds it.
+func (s *shard) drain(until float64) error {
+	for s.posted < len(s.routes) {
+		end := min(s.posted+postBatch, len(s.routes))
+		for i := s.posted; i < end; i++ {
+			r := &s.routes[i]
+			if err := s.engine.Post(r.at, sim.KindArrival, r.machine, i); err != nil {
+				return err
+			}
+		}
+		s.posted = end
+		if end < len(s.routes) {
+			if err := s.engine.RunUntil(s.routes[end].at); err != nil {
+				return err
+			}
+		}
 	}
-	s.inbox = append(s.inbox, j)
-	return s.engine.Post(now, sim.KindArrival, n.idx, len(s.inbox)-1)
+	if err := s.engine.RunUntil(until); err != nil {
+		return err
+	}
+	if s.delivered == len(s.routes) {
+		s.routes, s.posted, s.delivered = s.routes[:0], 0, 0
+	}
+	return nil
 }
 
 // handle is the shard-phase event dispatcher. Everything it touches is
@@ -79,12 +123,13 @@ func (s *shard) handle(e *sim.Event) error {
 	f := s.fleet
 	now := e.Time
 	switch e.Kind {
-	case sim.KindArrival: // routed job delivery; Core = machine, Ref = inbox slot
-		j := s.inbox[s.inboxHead]
-		s.inbox[s.inboxHead] = nil
-		s.inboxHead++
+	case sim.KindArrival: // routed job delivery; Core = machine, Ref = route slot
+		r := &s.routes[e.Ref]
+		j := r.job
+		r.job = nil
+		s.delivered++
 		n := f.nodes[e.Core]
-		n.inflightQW -= j.Remaining()
+		n.inflightQW -= r.remaining
 		if n.inflightJobs--; n.inflightJobs <= 0 {
 			n.inflightJobs = 0
 			n.inflightQW = 0 // clamp accumulated float error at quiescence
@@ -140,10 +185,10 @@ func (f *Fleet) runShards(fn func(*shard) error) error {
 	return nil
 }
 
-// shardPhase drains every shard heap up to (strictly before) the barrier
-// instant.
+// shardPhase posts every shard's staged routes and drains its engine up to
+// (strictly before) the instant until.
 func (f *Fleet) shardPhase(until float64) error {
-	return f.runShards(func(s *shard) error { return s.engine.RunUntil(until) })
+	return f.runShards(func(s *shard) error { return s.drain(until) })
 }
 
 // barrier synchronizes the fleet at a global instant: every shard drains its
@@ -153,7 +198,7 @@ func (f *Fleet) shardPhase(until float64) error {
 // machine as of the barrier instant.
 func (f *Fleet) barrier(now float64) error {
 	err := f.runShards(func(s *shard) error {
-		if err := s.engine.RunUntil(now); err != nil {
+		if err := s.drain(now); err != nil {
 			return err
 		}
 		for _, n := range s.nodes {
