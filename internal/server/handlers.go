@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -95,14 +96,27 @@ func (s *Server) shedResponse(w http.ResponseWriter, verdict admission) {
 	}
 }
 
-// decodeConfig reads a goodenough.Config overlay: the body's fields are
-// applied on top of DefaultConfig, so `{"DurationSec": 2}` is a complete
-// request. Unknown fields are rejected — they are almost always typos.
-func (s *Server) decodeConfig(w http.ResponseWriter, r *http.Request, raw []byte) (goodenough.Config, bool) {
-	cfg := goodenough.DefaultConfig()
+// decodeStrict decodes raw into v as exactly one JSON value. Unknown fields
+// are rejected — they are almost always typos — and so is anything but
+// whitespace after the value, which would otherwise be ignored.
+func decodeStrict(raw []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
+
+// decodeConfig reads a goodenough.Config overlay: the body's fields are
+// applied on top of DefaultConfig, so `{"DurationSec": 2}` is a complete
+// request.
+func (s *Server) decodeConfig(w http.ResponseWriter, r *http.Request, raw []byte) (goodenough.Config, bool) {
+	cfg := goodenough.DefaultConfig()
+	if err := decodeStrict(raw, &cfg); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad config: %v", err)})
 		return goodenough.Config{}, false
 	}
@@ -245,9 +259,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req traceRequest
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(raw, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request: %v", err)})
 		return
 	}
@@ -290,9 +302,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req sweepRequest
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(raw, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request: %v", err)})
 		return
 	}

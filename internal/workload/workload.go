@@ -413,13 +413,18 @@ func (t *Trace) Write(w io.Writer) error {
 	return enc.Encode(t)
 }
 
-// ReadTrace parses a JSON trace.
+// ReadTrace parses a JSON trace: exactly one JSON object, with no unknown
+// keys and nothing but whitespace after it.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	var t Trace
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields() // a misspelled key must not silently drop a field
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("workload: decoding trace: %w", err)
+	}
+	// A second value would otherwise be ignored without a word.
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("workload: decoding trace: trailing data after the trace")
 	}
 	return &t, nil
 }

@@ -250,6 +250,17 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `"demnad"`) {
 		t.Fatalf("misspelled key: error %v, want one naming \"demnad\"", err)
 	}
+	// A second value after the trace is an error, not silently ignored;
+	// trailing whitespace is fine.
+	one := `{"jobs":[{"release":0,"deadline":0.15,"demand":300}]}`
+	for _, tail := range []string{` {"jobs":[]}`, ` x`, `]`} {
+		if _, err := ReadTrace(strings.NewReader(one + tail)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Fatalf("trace followed by %q: error %v, want one naming the trailing data", tail, err)
+		}
+	}
+	if _, err := ReadTrace(strings.NewReader(one + "\n\t ")); err != nil {
+		t.Fatalf("trace followed by whitespace: %v", err)
+	}
 }
 
 func BenchmarkGenerator(b *testing.B) {
