@@ -669,8 +669,10 @@ func (cfg Config) compile() (sched.Config, sched.Policy, error) {
 		return sched.Config{}, nil, err
 	}
 
+	// Bound the core count before anything is sized by it: the groups are
+	// summed, within the limit, before any is expanded, so no sum can
+	// overflow.
 	cores := cfg.Cores
-	var perCore []power.Model
 	if len(cfg.CoreGroups) > 0 {
 		cores = 0
 		for _, g := range cfg.CoreGroups {
@@ -678,11 +680,25 @@ func (cfg Config) compile() (sched.Config, sched.Policy, error) {
 				return sched.Config{}, nil,
 					fmt.Errorf("goodenough: core group count must be positive, got %d", g.Count)
 			}
+			if g.Count > sched.MaxCores-cores {
+				return sched.Config{}, nil,
+					fmt.Errorf("goodenough: core groups exceed the limit of %d cores", sched.MaxCores)
+			}
+			cores += g.Count
+		}
+	}
+	if cores > sched.MaxCores {
+		return sched.Config{}, nil,
+			fmt.Errorf("goodenough: %d cores exceed the limit of %d", cores, sched.MaxCores)
+	}
+	var perCore []power.Model
+	if len(cfg.CoreGroups) > 0 {
+		perCore = make([]power.Model, 0, cores)
+		for _, g := range cfg.CoreGroups {
 			m := power.Model{A: g.PowerAlpha, Beta: g.PowerBeta, MaxSpeed: g.MaxSpeedGHz}
 			for i := 0; i < g.Count; i++ {
 				perCore = append(perCore, m)
 			}
-			cores += g.Count
 		}
 	}
 	scfg := sched.Config{

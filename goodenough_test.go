@@ -3,11 +3,13 @@ package goodenough
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
 	"testing"
 
+	"goodenough/internal/sched"
 	"goodenough/internal/stats"
 )
 
@@ -428,6 +430,38 @@ func TestBigLittleValidation(t *testing.T) {
 	cfg.DiscreteSpeeds = []float64{1, 2}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("ladder + heterogeneity accepted")
+	}
+}
+
+// TestCoreCountBounded checks that Validate turns away a core count over
+// sched.MaxCores, given directly or as core groups (one of them huge, or
+// several summing past the limit, or past the int range), with an error
+// naming the limit, while a machine at the limit validates.
+func TestCoreCountBounded(t *testing.T) {
+	limit := fmt.Sprintf("limit of %d", sched.MaxCores)
+	group := func(n int) CoreGroup { return CoreGroup{Count: n, PowerAlpha: 5, PowerBeta: 2} }
+	cases := []struct {
+		name   string
+		cores  int
+		groups []CoreGroup
+	}{
+		{"cores", sched.MaxCores + 1, nil},
+		{"huge cores", 2000000000, nil},
+		{"one group", 0, []CoreGroup{group(2000000000)}},
+		{"group sum", 0, []CoreGroup{group(sched.MaxCores / 2), group(sched.MaxCores/2 + 1)}},
+		{"overflowing sum", 0, []CoreGroup{group(8), group(math.MaxInt)}},
+	}
+	for _, tc := range cases {
+		cfg := quickCfg("ge", 100)
+		cfg.Cores, cfg.CoreGroups = tc.cores, tc.groups
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), limit) {
+			t.Errorf("%s: Validate error %v, want one naming the %s", tc.name, err, limit)
+		}
+	}
+	cfg := quickCfg("ge", 100)
+	cfg.CoreGroups = []CoreGroup{group(sched.MaxCores - 1), group(1)}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("%d cores in groups: %v", sched.MaxCores, err)
 	}
 }
 

@@ -31,6 +31,7 @@ func TestDefaultsMatchPaper(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	mutations := []func(*Config){
 		func(c *Config) { c.Cores = 0 },
+		func(c *Config) { c.Cores = MaxCores + 1 },
 		func(c *Config) { c.PowerBudget = 0 },
 		func(c *Config) { c.Model.A = -1 },
 		func(c *Config) { c.Quality = nil },
