@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-baseline bench-check smoke chaos-smoke fleet-smoke obs-smoke brownout-smoke drill-smoke sweep sweep-fast fuzz cover clean
+.PHONY: all build test race vet bench bench-baseline bench-check smoke fleet-smoke sweep sweep-fast fuzz cover clean
 
 all: build vet test
 
@@ -19,20 +19,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# End-to-end serving smoke: boot geserve, load it, SIGTERM, require exit 0.
+# Process-level scenarios: the serving tier's real binaries on free ports
+# (serve, chaos failover, tracing, brownout) plus the seeded crash drill.
+# `make test` runs them too; this target runs only them, uncached.
 smoke:
-	sh scripts/serve_smoke.sh
-
-# Fleet failover smoke: 3 replicas behind gegate, gechaos black-holes one
-# mid-run, geload must see zero failures and the gateway nonzero hedge wins.
-chaos-smoke:
-	sh scripts/chaos_smoke.sh
-
-# Observability smoke: traced load through gegate + geserve with -span-log
-# everywhere; span logs must merge into one causal tree per request, and
-# /metricz (Prometheus) + /timeseriez + gestat must all answer.
-obs-smoke:
-	sh scripts/obs_smoke.sh
+	$(GO) test -count=1 -run 'Scenario|DrillEndToEnd' ./internal/drill/
 
 # Fleet-simulation smoke: the committed 10-machine chaos scenario through
 # gefleet under every dispatch policy; gefleet exits non-zero on any
@@ -40,18 +31,6 @@ obs-smoke:
 # (TestFleetDeterminism, TestFleetShardMatrix).
 fleet-smoke:
 	$(GO) run ./cmd/gefleet -machines 10 -duration 30 -chaos @testdata/fleet_chaos.json -compare
-
-# Live-GE brownout smoke: governed replicas at 2x capacity must degrade
-# (quality >= Q_GE - 0.05, zero failures) and a starved replica must shed
-# with drain-derived Retry-After hints.
-brownout-smoke:
-	sh scripts/brownout_smoke.sh
-
-# Crash-recovery drill smoke: gedrill SIGKILLs and pauses real replicas on
-# a seeded schedule; zero acked-then-lost requests, bounded rejoin through
-# the slow-start ramp, goodput recovery, quality floor.
-drill-smoke:
-	sh scripts/drill_smoke.sh
 
 # One benchmark iteration per paper figure + ablations (fast, shape-level).
 bench:

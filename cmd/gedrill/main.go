@@ -25,7 +25,11 @@ import (
 	"goodenough/internal/drill"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit code, so deferred clean-up (the temp binary
+// directory) also runs when the drill fails.
+func run() int {
 	var (
 		seed     = flag.Uint64("seed", 1, "fault-schedule and trace-ID seed")
 		replicas = flag.Int("replicas", 3, "geserve fleet size")
@@ -53,20 +57,20 @@ func main() {
 	if geservePath == "" || gegatePath == "" {
 		bindir, err := os.MkdirTemp("", "gedrill-bin-*")
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer os.RemoveAll(bindir)
 		logf("gedrill: building geserve + gegate into %s", bindir)
 		if geservePath == "" {
 			geservePath = filepath.Join(bindir, "geserve")
 			if err := goBuild(geservePath, "./cmd/geserve"); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		}
 		if gegatePath == "" {
 			gegatePath = filepath.Join(bindir, "gegate")
 			if err := goBuild(gegatePath, "./cmd/gegate"); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		}
 	}
@@ -75,7 +79,7 @@ func main() {
 	if workDir == "" {
 		dir, err := os.MkdirTemp("", "gedrill-*")
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		workDir = dir
 	}
@@ -95,13 +99,13 @@ func main() {
 		Logf:         logf,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	if *jsonOut != "" {
 		data, _ := json.MarshalIndent(report, "", "  ")
 		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 
@@ -117,13 +121,13 @@ func main() {
 		if *workdir == "" {
 			os.RemoveAll(workDir)
 		}
-		return
+		return 0
 	}
 	for _, f := range report.Failures {
 		fmt.Println("FAIL:", f)
 	}
 	fmt.Fprintf(os.Stderr, "gedrill: artifacts kept in %s\n", workDir)
-	os.Exit(1)
+	return 1
 }
 
 func goBuild(out, pkg string) error {
@@ -133,7 +137,7 @@ func goBuild(out, pkg string) error {
 	return cmd.Run()
 }
 
-func fatal(err error) {
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "gedrill:", err)
-	os.Exit(1)
+	return 1
 }

@@ -3,8 +3,8 @@
 // that turns per-process JSONL span logs into one Perfetto trace.
 //
 // Live mode polls each target's /timeseriez (ring-buffer samples behind
-// geserve and gegate), /metricz?format=plain, and — on gateways —
-// /replicaz, then redraws a compact dashboard once per interval:
+// geserve and gegate) and, on gateways, /replicaz, then redraws a compact
+// dashboard once per interval:
 //
 //	gestat -targets http://127.0.0.1:8370,http://127.0.0.1:8377
 //	gestat -targets http://127.0.0.1:8377 -interval 2s -n 10 -plain

@@ -5,7 +5,6 @@ import (
 
 	"goodenough/internal/cluster"
 	"goodenough/internal/faults"
-	"goodenough/internal/obs"
 	"goodenough/internal/sched"
 )
 
@@ -186,34 +185,8 @@ func RunFleetWithOptions(fc FleetConfig, opts RunOptions) (FleetResult, error) {
 	if err != nil {
 		return FleetResult{}, err
 	}
-	var sinks []obs.Observer
-	var events *obs.JSONL
-	if opts.Events != nil {
-		events = obs.NewJSONL(opts.Events)
-		sinks = append(sinks, events)
-	}
-	var tracer *obs.Tracer
-	if opts.Trace != nil {
-		tracer = obs.NewTracer(opts.Trace, ccfg.Machines*ccfg.Node.Cores)
-		sinks = append(sinks, tracer)
-	}
-	var col *obs.Collector
-	if opts.Report != nil {
-		col = obs.NewCollector()
-		sinks = append(sinks, col)
-	}
-	sinks = append(sinks, opts.Observer)
-	ccfg.Observer = obs.Multi(sinks...)
-	var decisions *obs.DecisionLog
-	var dsinks []obs.DecisionSink
-	if opts.Decisions != nil {
-		decisions = obs.NewDecisionLog(opts.Decisions)
-		dsinks = append(dsinks, decisions)
-	}
-	if col != nil {
-		dsinks = append(dsinks, col)
-	}
-	ccfg.Decisions = obs.DecisionSinks(dsinks...)
+	ex, o, ds := newExporters(opts, ccfg.Machines*ccfg.Node.Cores)
+	ccfg.Observer, ccfg.Decisions = o, ds
 
 	fleet, err := cluster.New(ccfg)
 	if err != nil {
@@ -223,25 +196,8 @@ func RunFleetWithOptions(fc FleetConfig, opts RunOptions) (FleetResult, error) {
 	if err != nil {
 		return FleetResult{}, err
 	}
-	if events != nil {
-		if err := events.Flush(); err != nil {
-			return FleetResult{}, err
-		}
-	}
-	if tracer != nil {
-		if err := tracer.Flush(); err != nil {
-			return FleetResult{}, err
-		}
-	}
-	if decisions != nil {
-		if err := decisions.Flush(); err != nil {
-			return FleetResult{}, err
-		}
-	}
-	if col != nil {
-		if err := col.WriteReport(opts.Report); err != nil {
-			return FleetResult{}, err
-		}
+	if err := ex.flush(); err != nil {
+		return FleetResult{}, err
 	}
 	return liftFleetResult(res), nil
 }

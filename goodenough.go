@@ -449,36 +449,11 @@ func finishWithOptions(runner *sched.Runner, cores int, opts RunOptions) (Result
 		tl = metrics.NewTimeline(opts.TimelineInterval)
 		runner.SetTimeline(tl)
 	}
-	var sinks []obs.Observer
-	var events *obs.JSONL
-	if opts.Events != nil {
-		events = obs.NewJSONL(opts.Events)
-		sinks = append(sinks, events)
-	}
-	var tracer *obs.Tracer
-	if opts.Trace != nil {
-		tracer = obs.NewTracer(opts.Trace, cores)
-		sinks = append(sinks, tracer)
-	}
-	var col *obs.Collector
-	if opts.Report != nil {
-		col = obs.NewCollector()
-		sinks = append(sinks, col)
-	}
-	sinks = append(sinks, opts.Observer)
-	if o := obs.Multi(sinks...); o != nil {
+	ex, o, ds := newExporters(opts, cores)
+	if o != nil {
 		runner.SetObserver(o)
 	}
-	var decisions *obs.DecisionLog
-	var dsinks []obs.DecisionSink
-	if opts.Decisions != nil {
-		decisions = obs.NewDecisionLog(opts.Decisions)
-		dsinks = append(dsinks, decisions)
-	}
-	if col != nil {
-		dsinks = append(dsinks, col)
-	}
-	if ds := obs.DecisionSinks(dsinks...); ds != nil {
+	if ds != nil {
 		runner.SetDecisionSink(ds)
 	}
 	res, err := finish(runner)
@@ -490,27 +465,73 @@ func finishWithOptions(runner *sched.Runner, cores int, opts RunOptions) (Result
 			return Result{}, err
 		}
 	}
-	if events != nil {
-		if err := events.Flush(); err != nil {
-			return Result{}, err
-		}
-	}
-	if tracer != nil {
-		if err := tracer.Flush(); err != nil {
-			return Result{}, err
-		}
-	}
-	if decisions != nil {
-		if err := decisions.Flush(); err != nil {
-			return Result{}, err
-		}
-	}
-	if col != nil {
-		if err := col.WriteReport(opts.Report); err != nil {
-			return Result{}, err
-		}
+	if err := ex.flush(); err != nil {
+		return Result{}, err
 	}
 	return res, nil
+}
+
+// exporters are the file sinks a RunOptions asks for. RunWithOptions and
+// RunFleetWithOptions both build them with newExporters and write them
+// out with flush, so the two entry points export identically.
+type exporters struct {
+	events    *obs.JSONL
+	tracer    *obs.Tracer
+	decisions *obs.DecisionLog
+	col       *obs.Collector
+	report    io.Writer
+}
+
+// newExporters builds the sinks opts asks for over a trace of cores core
+// lanes. It returns them with the observer fan-out (opts.Observer last)
+// and the decision fan-out, each nil when nothing listens.
+func newExporters(opts RunOptions, cores int) (exporters, obs.Observer, obs.DecisionSink) {
+	var ex exporters
+	var sinks []obs.Observer
+	var dsinks []obs.DecisionSink
+	if opts.Events != nil {
+		ex.events = obs.NewJSONL(opts.Events)
+		sinks = append(sinks, ex.events)
+	}
+	if opts.Trace != nil {
+		ex.tracer = obs.NewTracer(opts.Trace, cores)
+		sinks = append(sinks, ex.tracer)
+	}
+	if opts.Decisions != nil {
+		ex.decisions = obs.NewDecisionLog(opts.Decisions)
+		dsinks = append(dsinks, ex.decisions)
+	}
+	if opts.Report != nil {
+		ex.col, ex.report = obs.NewCollector(), opts.Report
+		sinks = append(sinks, ex.col)
+		dsinks = append(dsinks, ex.col)
+	}
+	sinks = append(sinks, opts.Observer)
+	return ex, obs.Multi(sinks...), obs.DecisionSinks(dsinks...)
+}
+
+// flush writes out every exporter after the run, in a fixed order: events,
+// trace, decisions, report.
+func (ex exporters) flush() error {
+	if ex.events != nil {
+		if err := ex.events.Flush(); err != nil {
+			return err
+		}
+	}
+	if ex.tracer != nil {
+		if err := ex.tracer.Flush(); err != nil {
+			return err
+		}
+	}
+	if ex.decisions != nil {
+		if err := ex.decisions.Flush(); err != nil {
+			return err
+		}
+	}
+	if ex.col != nil {
+		return ex.col.WriteReport(ex.report)
+	}
+	return nil
 }
 
 // ExportTrace generates the synthetic workload described by cfg and writes

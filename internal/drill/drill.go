@@ -34,7 +34,8 @@ type Config struct {
 	// GeservePath / GegatePath locate the binaries to boot.
 	GeservePath string
 	GegatePath  string
-	// WorkDir holds journals and process logs (default: a temp dir).
+	// WorkDir holds journals and process logs (default: a temp dir). Run
+	// creates it if it does not exist.
 	WorkDir string
 	// Governed runs the replicas under the GE overload governor.
 	Governed bool
@@ -116,6 +117,8 @@ func Run(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		cfg.WorkDir = dir
+	} else if err := os.MkdirAll(cfg.WorkDir, 0o755); err != nil {
+		return nil, fmt.Errorf("drill: work dir: %w", err)
 	}
 	events := cfg.Events
 	var err error
@@ -155,7 +158,7 @@ func Run(cfg Config) (*Report, error) {
 		return nil, faultErr
 	}
 
-	counters, err := f.scrapeMetrics()
+	counters, err := scrapeMetrics(f.client, f.gateURL)
 	if err != nil {
 		return nil, err
 	}
@@ -384,7 +387,7 @@ func (f *fleet) execute(start time.Time, events []Event) (rejoins []Rejoin, kill
 
 // probeUp reads the gateway's probe verdict for one replica.
 func (f *fleet) probeUp(idx int) (bool, error) {
-	counters, err := f.scrapeMetrics()
+	counters, err := scrapeMetrics(f.client, f.gateURL)
 	if err != nil {
 		return false, err
 	}
@@ -407,34 +410,39 @@ func (f *fleet) waitProbeUp(idx int, since time.Time) (time.Duration, error) {
 	return time.Since(since), nil
 }
 
-// scrapeMetrics parses the gateway's plain-text metric registry into a
+// scrapeMetrics reads the /metricz exposition at base into a
 // counter/gauge map (gauges are truncated to int64).
-func (f *fleet) scrapeMetrics() (map[string]int64, error) {
-	resp, err := f.client.Get(f.gateURL + "/metricz?format=plain")
+func scrapeMetrics(client *http.Client, base string) (map[string]int64, error) {
+	resp, err := client.Get(base + "/metricz")
 	if err != nil {
-		return nil, fmt.Errorf("drill: scraping gateway metrics: %w", err)
+		return nil, fmt.Errorf("drill: scraping %s metrics: %w", base, err)
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("drill: scraping %s metrics: %w", base, err)
 	}
 	return parseMetricz(string(raw)), nil
 }
 
-// parseMetricz reads the obs WriteText format: "kind name value" lines.
+// parseMetricz reads the unlabelled `name value` samples of a Prometheus
+// text exposition, skipping comments and labelled (histogram bucket)
+// lines.
 func parseMetricz(text string) map[string]int64 {
 	out := make(map[string]int64)
 	for _, line := range strings.Split(text, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
+		if strings.HasPrefix(line, "#") || strings.Contains(line, "{") {
 			continue
 		}
-		v, err := strconv.ParseFloat(fields[2], 64)
+		name, value, ok := strings.Cut(line, " ")
+		if !ok {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
 		if err != nil {
 			continue
 		}
-		out[fields[1]] = int64(v)
+		out[name] = int64(v)
 	}
 	return out
 }

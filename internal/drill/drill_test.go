@@ -292,10 +292,15 @@ func TestEvaluateOrphanAcrossIncarnations(t *testing.T) {
 }
 
 func TestParseMetricz(t *testing.T) {
-	text := "counter gw_ok_total 1234\ngauge replica0_probe_ok 1\ncounter retries_total 7\nnot a metric line\nhistogram gw_request_seconds_count 50\n"
+	text := "# HELP gw_ok_total gw_ok_total\n# TYPE gw_ok_total counter\ngw_ok_total 1234\n" +
+		"# TYPE replica0_probe_ok gauge\nreplica0_probe_ok 1\nretries_total 7\nnot a metric line\n" +
+		"# TYPE gw_request_seconds histogram\ngw_request_seconds_bucket{le=\"+Inf\"} 50\ngw_request_seconds_count 50\n"
 	m := parseMetricz(text)
 	if m["gw_ok_total"] != 1234 || m["replica0_probe_ok"] != 1 || m["retries_total"] != 7 {
 		t.Fatalf("parsed %v", m)
+	}
+	if len(m) != 4 {
+		t.Fatalf("parsed %d samples, want 4 (comments, junk and buckets skipped): %v", len(m), m)
 	}
 }
 

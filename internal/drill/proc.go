@@ -19,7 +19,7 @@ type proc struct {
 	stderr *os.File // appended across incarnations
 
 	cmd          *exec.Cmd
-	waitCh       chan error // closed by the reaper with the exit status
+	exited       chan struct{} // closed once this incarnation is reaped
 	incarnations int
 }
 
@@ -33,7 +33,9 @@ func newProc(name, path string, args []string, logPath string) (*proc, error) {
 
 // start launches (or relaunches) the process. Each start is a new
 // incarnation; a reaper goroutine collects the exit status so kills never
-// leave zombies.
+// leave zombies, then closes exited, so any number of kill and stop calls
+// can wait on the same death. cmd.ProcessState holds the status once
+// exited is closed.
 func (p *proc) start() error {
 	cmd := exec.Command(p.path, p.args...)
 	cmd.Stdout = p.stderr
@@ -43,9 +45,12 @@ func (p *proc) start() error {
 	}
 	p.cmd = cmd
 	p.incarnations++
-	ch := make(chan error, 1)
-	p.waitCh = ch
-	go func() { ch <- cmd.Wait() }()
+	exited := make(chan struct{})
+	p.exited = exited
+	go func() {
+		_ = cmd.Wait() // the status lands in cmd.ProcessState
+		close(exited)
+	}()
 	return nil
 }
 
@@ -65,7 +70,7 @@ func (p *proc) kill() error {
 	if err := p.cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		return fmt.Errorf("drill: kill %s: %w", p.name, err)
 	}
-	<-p.waitCh // exit status is the signal; the death itself is the point
+	<-p.exited // exit status is the signal; the death itself is the point
 	return nil
 }
 
@@ -100,11 +105,11 @@ func (p *proc) stop(grace time.Duration) error {
 		}
 	}
 	select {
-	case <-p.waitCh:
+	case <-p.exited:
 		return nil
 	case <-time.After(grace):
 		_ = p.cmd.Process.Signal(syscall.SIGKILL)
-		<-p.waitCh
+		<-p.exited
 		return fmt.Errorf("drill: %s ignored SIGTERM for %v; killed", p.name, grace)
 	}
 }

@@ -1,7 +1,6 @@
 package drill
 
 import (
-	"os/exec"
 	"path/filepath"
 	"testing"
 	"time"
@@ -9,24 +8,11 @@ import (
 
 // TestDrillEndToEnd boots a real 3-replica governed fleet behind gegate,
 // runs a seeded kill + pause schedule against the live processes, and
-// requires every invariant to hold. This is the full harness exercised the
-// way CI's drill-smoke job runs it, minus the shell.
+// requires every invariant to hold. CI's drill job runs the same drill
+// through cmd/gedrill.
 func TestDrillEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("process-level drill skipped in -short mode")
-	}
-	bindir := t.TempDir()
-	geserve := filepath.Join(bindir, "geserve")
-	gegate := filepath.Join(bindir, "gegate")
-	for _, b := range []struct{ out, pkg string }{
-		{geserve, "goodenough/cmd/geserve"},
-		{gegate, "goodenough/cmd/gegate"},
-	} {
-		cmd := exec.Command("go", "build", "-o", b.out, b.pkg)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", b.pkg, err, out)
-		}
-	}
+	skipShort(t)
+	geserve, gegate := binary(t, "geserve"), binary(t, "gegate")
 
 	report, err := Run(Config{
 		Seed:        7,
@@ -63,4 +49,51 @@ func TestDrillEndToEnd(t *testing.T) {
 	t.Logf("drill: %d req, %d acked, %d shed, %d errors, rejoin max %v, orphans %d (budget %d)",
 		report.Requests, report.Acked, report.Shed, report.Errors,
 		report.RejoinMax, len(report.Orphans), report.OrphanBudget)
+}
+
+// sleeper starts a process that outlives the test unless it is stopped.
+func sleeper(t *testing.T) *proc {
+	t.Helper()
+	p, err := newProc("sleep", "/bin/sleep", []string{"30"}, filepath.Join(t.TempDir(), "sleep.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.close)
+	return p
+}
+
+// returns fails the test if stop does not return within a bound, instead
+// of hanging the test binary.
+func returns(t *testing.T, what string, stop func() error) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		_ = stop()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(3 * time.Second):
+		t.Fatalf("%s still blocked after 3s", what)
+	}
+}
+
+// TestStopAfterKill: stopping a killed process returns at once. Teardown
+// does exactly this after a kill whose relaunch failed.
+func TestStopAfterKill(t *testing.T) {
+	p := sleeper(t)
+	if err := p.kill(); err != nil {
+		t.Fatal(err)
+	}
+	returns(t, "stop after kill", func() error { return p.stop(200 * time.Millisecond) })
+}
+
+// TestStopTwice: a second stop of the same incarnation returns at once.
+func TestStopTwice(t *testing.T) {
+	p := sleeper(t)
+	returns(t, "first stop", func() error { return p.stop(200 * time.Millisecond) })
+	returns(t, "second stop", func() error { return p.stop(200 * time.Millisecond) })
 }

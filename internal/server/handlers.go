@@ -435,14 +435,8 @@ func (s *Server) handleRecoveryz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetricz renders the registry in the Prometheus text exposition
-// format by default; ?format=plain keeps the legacy `kind name value`
-// lines for scripts and humans.
+// format.
 func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "plain" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = s.metrics.WriteText(w)
-		return
-	}
 	w.Header().Set("Content-Type", obs.PrometheusContentType)
 	_ = s.metrics.WritePrometheus(w)
 }

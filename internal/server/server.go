@@ -22,7 +22,7 @@
 //	POST /v1/sweep   a batch of runs over rates × seeds (one admission slot)
 //	GET  /healthz    liveness (always 200 while the process serves)
 //	GET  /readyz     readiness (503 once draining), with metrics snapshot
-//	GET  /metricz    the obs registry (Prometheus text; ?format=plain for legacy)
+//	GET  /metricz    the obs registry (Prometheus text)
 //	GET  /timeseriez recent per-second samples of load metrics, as JSON
 package server
 

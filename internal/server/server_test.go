@@ -60,15 +60,15 @@ func blockUntilCancelled(started chan struct{}) RunFunc {
 	}
 }
 
-// counterValue extracts one counter from a /metricz snapshot.
+// counterValue extracts one counter sample from a /metricz snapshot.
 func counterValue(t *testing.T, metricz []byte, name string) int64 {
 	t.Helper()
 	for _, line := range strings.Split(string(metricz), "\n") {
 		f := strings.Fields(line)
-		if len(f) == 3 && f[0] == "counter" && f[1] == name {
-			v, err := strconv.ParseInt(f[2], 10, 64)
+		if len(f) == 2 && f[0] == name {
+			v, err := strconv.ParseInt(f[1], 10, 64)
 			if err != nil {
-				t.Fatalf("counter %s: bad value %q", name, f[2])
+				t.Fatalf("counter %s: bad value %q", name, f[1])
 			}
 			return v
 		}
@@ -309,7 +309,7 @@ func TestPanicRecovered(t *testing.T) {
 	if code, _ := getBody(t, ts.Client(), ts.URL+"/healthz"); code != http.StatusOK {
 		t.Fatalf("healthz after panic: %d", code)
 	}
-	_, metricz := getBody(t, ts.Client(), ts.URL+"/metricz?format=plain")
+	_, metricz := getBody(t, ts.Client(), ts.URL+"/metricz")
 	if n := counterValue(t, metricz, "panics_total"); n != 1 {
 		t.Fatalf("panics_total = %d, want 1", n)
 	}
@@ -338,7 +338,7 @@ func TestRequestTimeoutReturnsPartial(t *testing.T) {
 	if !rr.Result.Cancelled || rr.Result.CancelReason != context.DeadlineExceeded.Error() {
 		t.Fatalf("timed-out run not partial: %+v", rr.Result)
 	}
-	_, metricz := getBody(t, ts.Client(), ts.URL+"/metricz?format=plain")
+	_, metricz := getBody(t, ts.Client(), ts.URL+"/metricz")
 	if n := counterValue(t, metricz, "run_cancelled_total"); n != 1 {
 		t.Fatalf("run_cancelled_total = %d, want 1", n)
 	}
@@ -382,11 +382,11 @@ func TestClientGoneWhileQueued(t *testing.T) {
 		t.Fatal("cancelled client got a response")
 	}
 	waitFor(t, func() bool {
-		_, metricz := getBody(t, ts.Client(), ts.URL+"/metricz?format=plain")
+		_, metricz := getBody(t, ts.Client(), ts.URL+"/metricz")
 		for _, line := range strings.Split(string(metricz), "\n") {
 			f := strings.Fields(line)
-			if len(f) == 3 && f[1] == "client_gone_total" {
-				return f[2] == "1"
+			if len(f) == 2 && f[0] == "client_gone_total" {
+				return f[1] == "1"
 			}
 		}
 		return false
@@ -488,7 +488,7 @@ func TestConcurrentHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < metricGets; i++ {
-			getBody(t, ts.Client(), ts.URL+"/metricz?format=plain")
+			getBody(t, ts.Client(), ts.URL+"/metricz")
 			getBody(t, ts.Client(), ts.URL+"/readyz")
 		}
 	}()
@@ -500,7 +500,7 @@ func TestConcurrentHammer(t *testing.T) {
 	if s.InFlight() != 0 {
 		t.Fatalf("%d runs still in flight after hammer", s.InFlight())
 	}
-	_, metricz := getBody(t, ts.Client(), ts.URL+"/metricz?format=plain")
+	_, metricz := getBody(t, ts.Client(), ts.URL+"/metricz")
 	okN := counterValue(t, metricz, "run_ok_total")
 	shedN := counterValue(t, metricz, "shed_total")
 	if int(okN) != statuses[http.StatusOK] || int(shedN) != statuses[http.StatusTooManyRequests] {
