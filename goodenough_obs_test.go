@@ -2,6 +2,7 @@ package goodenough
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -31,15 +32,23 @@ func goldenCfg() Config {
 	return cfg
 }
 
-func runGolden(t *testing.T) (events, trace, report, decisions []byte) {
+// runGolden runs goldenCfg with every exporter attached and returns the
+// exports and the Result as JSON, the form /v1/run and /v1/sweep put on
+// the wire.
+func runGolden(t *testing.T) (events, trace, report, decisions, result []byte) {
 	t.Helper()
 	var ev, tr, rep, dec bytes.Buffer
-	if _, err := RunWithOptions(goldenCfg(), RunOptions{
+	res, err := RunWithOptions(goldenCfg(), RunOptions{
 		Events: &ev, Trace: &tr, Report: &rep, Decisions: &dec,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return ev.Bytes(), tr.Bytes(), rep.Bytes(), dec.Bytes()
+	raw, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev.Bytes(), tr.Bytes(), rep.Bytes(), dec.Bytes(), append(raw, '\n')
 }
 
 // TestGoldenExports pins the exporters' byte-exact output for a seeded run.
@@ -48,12 +57,13 @@ func runGolden(t *testing.T) (events, trace, report, decisions []byte) {
 // means either a real behavior change or a broken determinism guarantee.
 // Regenerate deliberately with: go test -run TestGoldenExports -update .
 func TestGoldenExports(t *testing.T) {
-	events, trace, report, decisions := runGolden(t)
+	events, trace, report, decisions, result := runGolden(t)
 	golden := map[string][]byte{
 		filepath.Join("testdata", "golden_run.events.jsonl"):    events,
 		filepath.Join("testdata", "golden_run.trace.json"):      trace,
 		filepath.Join("testdata", "golden_run.report.txt"):      report,
 		filepath.Join("testdata", "golden_run.decisions.jsonl"): decisions,
+		filepath.Join("testdata", "golden_run.result.json"):     result,
 	}
 	if *updateGolden {
 		for path, got := range golden {
@@ -78,10 +88,11 @@ func TestGoldenExports(t *testing.T) {
 }
 
 // TestGoldenRunDeterminism re-runs the golden configuration and demands
-// byte-identical exports, independent of what the checked-in goldens say.
+// byte-identical exports and Result JSON, independent of what the
+// checked-in goldens say.
 func TestGoldenRunDeterminism(t *testing.T) {
-	e1, t1, r1, d1 := runGolden(t)
-	e2, t2, r2, d2 := runGolden(t)
+	e1, t1, r1, d1, res1 := runGolden(t)
+	e2, t2, r2, d2, res2 := runGolden(t)
 	if !bytes.Equal(e1, e2) {
 		t.Error("JSONL export differs between identical runs")
 	}
@@ -93,6 +104,9 @@ func TestGoldenRunDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(d1, d2) {
 		t.Error("decision JSONL differs between identical runs")
+	}
+	if !bytes.Equal(res1, res2) {
+		t.Error("Result JSON differs between identical runs")
 	}
 }
 
