@@ -146,7 +146,7 @@ type MachineResult struct {
 	// Completed and Expired count jobs finalized on this machine's cores.
 	Completed int64
 	Expired   int64
-	// Crashes counts machine-level crash events.
+	// Crashes counts machine-level crashes.
 	Crashes int64
 	// DownTime is the total time the machine spent crashed.
 	DownTime float64
@@ -159,9 +159,10 @@ type MachineResult struct {
 	Redispatches int64
 }
 
-// Result summarizes a fleet run.
+// Result summarizes a fleet run. The goodenough facade returns it as
+// goodenough.FleetResult, and testdata/golden_fleet.txt pins its JSON.
 type Result struct {
-	// Dispatch and Scheduler name the routing and per-node policies.
+	// Dispatch and Scheduler name the routing and per-machine policies.
 	Dispatch  string
 	Scheduler string
 	// Machines is the fleet size.
@@ -188,11 +189,11 @@ type Result struct {
 	MeanResponse float64
 	P95Response  float64
 	P99Response  float64
-	// Fault accounting. Crashes/Partitions/Degrades count onset events;
-	// Redispatches counts re-routes of lost and stranded jobs; LostWork is
-	// the in-flight processing (units) wiped by crashes; PendingExpired
-	// counts jobs that died parked at the dispatcher with no machine
-	// eligible.
+	// Fault accounting. Crashes/Partitions/Degrades count fault onsets
+	// that took effect; Redispatches counts re-routes of lost and stranded
+	// jobs; LostWork is the in-flight processing (units) wiped by crashes;
+	// PendingExpired counts jobs that died parked at the dispatcher with no
+	// machine eligible.
 	Crashes        int64
 	Partitions     int64
 	Degrades       int64
@@ -201,7 +202,7 @@ type Result struct {
 	PendingExpired int64
 	// Availability is the time-weighted fraction of machine-time up.
 	Availability float64
-	// SimTime is the span actually simulated.
+	// SimTime is the span actually simulated, in seconds.
 	SimTime float64
 	// Shards is the effective worker-shard count; ShardEvents and
 	// ShardMachines report, per shard, how many events its private engine
@@ -211,7 +212,7 @@ type Result struct {
 	Shards        int
 	ShardEvents   []int64
 	ShardMachines []int
-	// PerMachine holds one entry per machine.
+	// PerMachine holds one entry per machine, in index order.
 	PerMachine []MachineResult
 }
 
