@@ -32,16 +32,6 @@ import (
 	"goodenough/internal/chaos"
 )
 
-// jsonSpec is the wire form of chaos.Spec with a string kind.
-type jsonSpec struct {
-	At       float64 `json:"at"`
-	Kind     string  `json:"kind"`
-	Duration float64 `json:"duration"`
-	Delay    float64 `json:"delay"`
-	Jitter   float64 `json:"jitter"`
-	Code     int     `json:"code"`
-}
-
 func parseSpecs(arg string) ([]chaos.Spec, error) {
 	raw := []byte(arg)
 	if strings.HasPrefix(arg, "@") {
@@ -52,25 +42,14 @@ func parseSpecs(arg string) ([]chaos.Spec, error) {
 		raw = b
 	}
 	// Strict: a misspelled key must not silently drop a field.
-	var js []jsonSpec
+	var specs []chaos.Spec
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&js); err != nil {
+	if err := dec.Decode(&specs); err != nil {
 		return nil, fmt.Errorf("parsing -spec: %w", err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("parsing -spec: trailing data after the schedule")
-	}
-	specs := make([]chaos.Spec, 0, len(js))
-	for _, j := range js {
-		kind, err := chaos.ParseKind(j.Kind)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, chaos.Spec{
-			At: j.At, Kind: kind, Duration: j.Duration,
-			Delay: j.Delay, Jitter: j.Jitter, Code: j.Code,
-		})
 	}
 	return specs, nil
 }
