@@ -91,6 +91,10 @@ func ParseState(s string) (State, bool) {
 	return StateOK, false
 }
 
+// minRetryAfter floors the drain-rate-derived shed hint, and is the hint
+// before the first control tick.
+const minRetryAfter = time.Second
+
 // Config parameterizes the governor. Zero values take the defaults noted
 // on each field.
 type Config struct {
@@ -120,9 +124,8 @@ type Config struct {
 	// RecoverTicks is how many consecutive calm quanta must pass before
 	// the ladder steps back down (hysteresis). Default 3.
 	RecoverTicks int
-	// MinRetryAfter / MaxRetryAfter clamp the drain-rate-derived shed
-	// hint. Defaults 1s / 30s.
-	MinRetryAfter time.Duration
+	// MaxRetryAfter caps the drain-rate-derived shed hint, which never
+	// falls below minRetryAfter. Default 30s.
 	MaxRetryAfter time.Duration
 	// QueueLen probes the admission-queue depth (optional; nil reads 0).
 	QueueLen func() int
@@ -160,9 +163,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RecoverTicks <= 0 {
 		c.RecoverTicks = 3
-	}
-	if c.MinRetryAfter <= 0 {
-		c.MinRetryAfter = time.Second
 	}
 	if c.MaxRetryAfter <= 0 {
 		c.MaxRetryAfter = 30 * time.Second
@@ -250,7 +250,7 @@ func New(cfg Config) (*Governor, error) {
 		doneCh:     make(chan struct{}),
 	}
 	g.headroom.Store(math.Float64bits(1))
-	g.retryNS.Store(int64(cfg.MinRetryAfter))
+	g.retryNS.Store(int64(minRetryAfter))
 	return g, nil
 }
 
@@ -302,7 +302,7 @@ func (g *Governor) Headroom() float64 {
 
 // RetryAfter returns the current drain-rate-derived shed hint: the time
 // for the present backlog plus one to drain at the observed completion
-// rate, clamped to [MinRetryAfter, MaxRetryAfter].
+// rate, clamped to [minRetryAfter, MaxRetryAfter].
 func (g *Governor) RetryAfter() time.Duration {
 	return time.Duration(g.retryNS.Load())
 }
@@ -566,8 +566,8 @@ func (g *Governor) tick(now time.Time) {
 	if g.drainEWMA > 1e-9 {
 		retry = time.Duration(float64(queued+1) / g.drainEWMA * float64(time.Second))
 	}
-	if retry < cfg.MinRetryAfter {
-		retry = cfg.MinRetryAfter
+	if retry < minRetryAfter {
+		retry = minRetryAfter
 	}
 	if retry > cfg.MaxRetryAfter {
 		retry = cfg.MaxRetryAfter

@@ -442,7 +442,7 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTimeseriez dumps the sampler rings as JSON: the last ~5 minutes
-// of inflight, queue depth, and counter series at SampleInterval
+// of inflight, queue depth, and counter series at sampleInterval
 // resolution. cmd/gestat polls this to draw live sparklines.
 func (s *Server) handleTimeseriez(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")

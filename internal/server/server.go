@@ -83,8 +83,6 @@ type Config struct {
 	// its state. New starts the loop (binding the admission-queue probe)
 	// and Drain stops it. Nil keeps the pre-governor behavior exactly.
 	Governor *governor.Governor
-	// SampleInterval is the /timeseriez sampling period (default: 1s).
-	SampleInterval time.Duration
 	// Journal, when non-nil, is the crash-safe request ledger: every
 	// admitted request appends an accept record before work starts and a
 	// done record before its response is written, so a crash (SIGKILL, OOM)
@@ -120,11 +118,11 @@ func (c Config) withDefaults() Config {
 	if c.Run == nil {
 		c.Run = goodenough.RunContext
 	}
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = time.Second
-	}
 	return c
 }
+
+// sampleInterval is the /timeseriez sampling period.
+const sampleInterval = time.Second
 
 // Server is the admission-controlled simulation service. Create with New,
 // expose via Handler, and shut down with Drain.
@@ -169,7 +167,7 @@ func New(cfg Config) *Server {
 	}
 	// Live telemetry: the sampler polls values the serving path already
 	// maintains, so /timeseriez never touches the request hot path.
-	s.sampler = obs.NewSampler(cfg.SampleInterval, 300)
+	s.sampler = obs.NewSampler(sampleInterval, 300)
 	s.sampler.Track("inflight", func() float64 { return float64(s.InFlight()) })
 	s.sampler.Track("queue_depth", func() float64 { return float64(s.QueueDepth()) })
 	for _, name := range []string{"requests_total", "run_ok_total", "shed_total", "run_err_total"} {
