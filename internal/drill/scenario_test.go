@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -367,6 +368,103 @@ func TestObsScenario(t *testing.T) {
 		if !bytes.Contains(merged, []byte(want)) {
 			t.Fatalf("merged trace has no %s", want)
 		}
+	}
+}
+
+// TestFailedShutdownFlushesLogs: when a SIGTERM drain cannot close every
+// connection in time, geserve and gegate exit 1, but the span and decision
+// logs they buffered still reach disk. A request whose body never arrives
+// holds each server's shutdown past its deadline.
+func TestFailedShutdownFlushesLogs(t *testing.T) {
+	skipShort(t)
+	a := addrs(t, 2) // the replica, the gateway
+	dir := t.TempDir()
+	serveSpans := filepath.Join(dir, "geserve.spans.jsonl")
+	gateSpans := filepath.Join(dir, "gegate.spans.jsonl")
+	decisions := filepath.Join(dir, "geserve.decisions.jsonl")
+	// geserve's shutdown deadline is -drain-timeout plus 5 s of slack.
+	serve := geserve(t, "geserve", a[0], "-drain-timeout", "1ms", "-timeout", "10s",
+		"-span-log", serveSpans, "-governor", "-decision-log", decisions)
+	gate := spawn(t, "gegate", "gegate", "-addr", a[1], "-replicas", "http://"+a[0],
+		"-shutdown-grace", "1ms", "-span-log", gateSpans)
+	healthy(t, "http://"+a[1]+"/readyz")
+
+	const requests = 3
+	for i := 0; i < requests; i++ {
+		resp, err := testClient.Post("http://"+a[1]+"/v1/run", "application/json",
+			strings.NewReader(`{"DurationSec":0.5}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("run %d through gegate: status %d", i, resp.StatusCode)
+		}
+	}
+
+	// Each server counts a /v1 request before it reads the body, so once
+	// the counter moves, the stalled request holds an active connection.
+	for _, hold := range []struct{ addr, counter string }{
+		{a[0], "requests_total"}, {a[1], "gw_requests_total"},
+	} {
+		conn, err := net.Dial("tcp", hold.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		fmt.Fprintf(conn, "POST /v1/run HTTP/1.1\r\nHost: %s\r\nContent-Length: 64\r\n\r\n", hold.addr)
+		deadline := time.Now().Add(10 * time.Second)
+		for metrics(t, "http://"+hold.addr)[hold.counter] <= requests {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never counted the stalled request", hold.addr)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for _, p := range []*proc{gate, serve} {
+		wg.Add(1)
+		go func(p *proc) {
+			defer wg.Done()
+			if err := p.stop(20 * time.Second); err != nil {
+				t.Error(err)
+			}
+		}(p)
+	}
+	wg.Wait()
+	for _, p := range []*proc{gate, serve} {
+		if code := p.cmd.ProcessState.ExitCode(); code != 1 {
+			t.Errorf("%s exited %d after its shutdown deadline, want 1", p.name, code)
+		}
+	}
+
+	// gegate writes a request span and an attempt span per request; every
+	// one of its traces continues in geserve's log.
+	data, err := os.ReadFile(gateSpans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, err := obs.ReadSpans(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("%s: %v", gateSpans, err)
+	}
+	if len(spans) != 2*requests {
+		t.Errorf("gegate span log holds %d spans, want %d", len(spans), 2*requests)
+	}
+	gateway, server := traces(t, gateSpans), traces(t, serveSpans)
+	for id := range gateway {
+		if !server[id] {
+			t.Errorf("trace %x is in gegate's span log but not in geserve's", id)
+		}
+	}
+	log, err := os.ReadFile(decisions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(log, []byte(`"decision":"admit"`)); n != requests {
+		t.Errorf("geserve logged %d admit decisions, want %d", n, requests)
 	}
 }
 
