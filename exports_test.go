@@ -56,25 +56,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 func scanExports(t *testing.T, root string) (decls map[string]string, refs map[string]bool) {
 	t.Helper()
 	decls, refs = map[string]string{}, map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := path.Join("goodenough", filepath.ToSlash(filepath.Dir(p)))
+	parseSources(t, root, func(fset *token.FileSet, pkg string, f *ast.File) {
 		imports := map[string]string{}
 		for _, imp := range f.Imports {
 			ip, _ := strconv.Unquote(imp.Path.Value)
@@ -135,10 +117,104 @@ func scanExports(t *testing.T, root string) (decls map[string]string, refs map[s
 			}
 			return true
 		})
+	})
+	return decls, refs
+}
+
+// parseSources parses every non-test Go file under root, skipping testdata
+// and dot directories, and calls fn with each file and its package's import
+// path.
+func parseSources(t *testing.T, root string, fn func(fset *token.FileSet, pkg string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(fset, path.Join("goodenough", filepath.ToSlash(filepath.Dir(p))), f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return decls, refs
+}
+
+// mirrorStructs lists the struct pairs allowed to share most of their field
+// names, each with the reason.
+var mirrorStructs = map[string]string{
+	"goodenough/internal/obs.DecisionLog ~ goodenough/internal/obs.JSONL": "item 6: the {w, buf, err} state of two buffered JSONL writers, which one record stream makes one",
+}
+
+// TestNoMirrorStructs fails when two struct types of the module share at
+// least 90% of the larger one's field names and the allowlist does not name
+// the pair, and when an allowlist entry no longer matches. A struct that
+// repeats another field for field needs a copy at every crossing and drifts
+// from it; use the type itself, or an alias.
+func TestNoMirrorStructs(t *testing.T) {
+	type structType struct {
+		name   string
+		fields []string
+	}
+	var structs []structType
+	parseSources(t, ".", func(_ *token.FileSet, pkg string, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				s := structType{name: pkg + "." + ts.Name.Name}
+				for _, field := range st.Fields.List {
+					for _, id := range field.Names {
+						s.fields = append(s.fields, id.Name)
+					}
+				}
+				if len(s.fields) >= 2 {
+					structs = append(structs, s)
+				}
+			}
+			return true
+		})
+	})
+	sort.Slice(structs, func(i, j int) bool { return structs[i].name < structs[j].name })
+	mirrors := map[string]bool{}
+	for i, a := range structs {
+		names := map[string]bool{}
+		for _, n := range a.fields {
+			names[n] = true
+		}
+		for _, b := range structs[i+1:] {
+			shared := 0
+			for _, n := range b.fields {
+				if names[n] {
+					shared++
+				}
+			}
+			if 10*shared >= 9*max(len(a.fields), len(b.fields)) {
+				pair := a.name + " ~ " + b.name
+				mirrors[pair] = true
+				if _, ok := mirrorStructs[pair]; !ok {
+					t.Errorf("%s share %d of %d and %d field names", pair, shared, len(a.fields), len(b.fields))
+				}
+			}
+		}
+	}
+	for pair, reason := range mirrorStructs {
+		if !mirrors[pair] {
+			t.Errorf("allowlist entry %s (%s) no longer matches; remove it", pair, reason)
+		}
+	}
 }
