@@ -1,17 +1,19 @@
 // Command gesweep regenerates every figure of the paper's evaluation
 // section. Each figure is written as tidy CSV plus an aligned text table
 // (and optionally an ASCII chart) under the output directory, and the
-// headline GE-vs-BE energy saving is printed at the end.
+// headline GE-vs-BE energy saving is printed after Fig. 3.
 //
 //	gesweep                         # all figures, paper-scale (600 s runs)
 //	gesweep -duration 60            # 10x faster, same shapes
 //	gesweep -figures fig1,fig3      # a subset
+//	gesweep -figures ablations      # the studies beyond the paper
 //	gesweep -out results -ascii
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -24,193 +26,138 @@ import (
 )
 
 func main() {
-	var (
-		out      = flag.String("out", "results", "output directory")
-		duration = flag.Float64("duration", 600, "simulated seconds per sweep point")
-		seed     = flag.Uint64("seed", 2017, "workload RNG seed")
-		figures  = flag.String("figures", "all", "comma-separated subset: fig1,fig2,...,fig12")
-		ascii    = flag.Bool("ascii", false, "also print ASCII charts to stdout")
-		workers  = flag.Int("workers", 0, "sweep parallelism (0 = GOMAXPROCS)")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "gesweep:", err)
+		os.Exit(1)
+	}
+}
 
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("gesweep", flag.ExitOnError)
+	var (
+		out      = fs.String("out", "results", "output directory")
+		duration = fs.Float64("duration", 600, "simulated seconds per sweep point")
+		seed     = fs.Uint64("seed", 2017, "workload RNG seed")
+		figures  = fs.String("figures", "all", "comma-separated target ids (fig1,...,fig12, abl-*, ext-*), all or ablations")
+		ascii    = fs.Bool("ascii", false, "also print ASCII charts to stdout")
+		workers  = fs.Int("workers", 0, "sweep parallelism (0 = GOMAXPROCS)")
+
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2 inside Parse
+	targets, err := selectTargets(*figures)
+	if err != nil {
+		return err
+	}
 
 	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
+		f, perr := os.Create(*cpuprofile)
+		if perr != nil {
+			return perr
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+		if perr := pprof.StartCPUProfile(f); perr != nil {
+			f.Close()
+			return perr
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			f.Close()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
 		}()
 	}
 	if *memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "gesweep:", err)
-				return
+			f, ferr := os.Create(*memprofile)
+			if ferr == nil {
+				runtime.GC()
+				ferr = pprof.WriteHeapProfile(f)
+				if cerr := f.Close(); ferr == nil {
+					ferr = cerr
+				}
 			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "gesweep:", err)
+			if err == nil {
+				err = ferr
 			}
-			f.Close()
 		}()
 	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
+		return err
 	}
 	s := experiments.DefaultSettings()
 	s.Duration = *duration
 	s.Seed = *seed
 	s.Workers = *workers
 
+	for _, t := range targets {
+		start := time.Now()
+		figs, note, err := t.Draw(s)
+		if err != nil {
+			return fmt.Errorf("%s: %w", t.ID, err)
+		}
+		for i, fig := range figs {
+			if err := emit(stdout, filepath.Join(*out, t.Files[i]), fig, *ascii); err != nil {
+				return err
+			}
+		}
+		fmt.Fprintf(stdout, "%s done in %v\n", t.ID, time.Since(start).Round(time.Millisecond))
+		if note != "" {
+			fmt.Fprintln(stdout, note)
+		}
+	}
+	return nil
+}
+
+// selectTargets resolves the -figures list: target ids, "all" for the
+// paper's figures and "ablations" for the studies beyond it, matched
+// case-insensitively. An unknown name is an error, so a typo cannot skip
+// a figure. Targets run in table order whatever the list's order.
+func selectTargets(list string) ([]experiments.Target, error) {
+	known := map[string]bool{"all": true, "ablations": true}
+	for _, t := range experiments.Targets {
+		known[t.ID] = true
+	}
 	want := map[string]bool{}
-	if *figures == "all" {
-		for i := 1; i <= 12; i++ {
-			want[fmt.Sprintf("fig%d", i)] = true
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(strings.ToLower(name))
+		if !known[name] {
+			return nil, fmt.Errorf("-figures: unknown figure %q (want an id such as fig3 or abl-static, all, or ablations)", name)
 		}
-	} else {
-		for _, f := range strings.Split(*figures, ",") {
-			want[strings.TrimSpace(strings.ToLower(f))] = true
+		want[name] = true
+	}
+	var picked []experiments.Target
+	for _, t := range experiments.Targets {
+		if want[t.ID] || (want["all"] && !t.Ablation) || (want["ablations"] && t.Ablation) {
+			picked = append(picked, t)
 		}
 	}
-
-	emit := func(name string, fig plot.Figure) {
-		path := filepath.Join(*out, name+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := fig.WriteCSV(f); err != nil {
-			fatal(err)
-		}
-		f.Close()
-		tpath := filepath.Join(*out, name+".txt")
-		tf, err := os.Create(tpath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := fig.WriteTable(tf); err != nil {
-			fatal(err)
-		}
-		tf.Close()
-		fmt.Printf("wrote %s (+.txt)\n", path)
-		if *ascii {
-			if err := fig.WriteASCII(os.Stdout, 72, 18); err != nil {
-				fatal(err)
-			}
-		}
-	}
-
-	type pair func() (plot.Figure, plot.Figure, error)
-	runPair := func(id, aName, bName string, fn pair) {
-		if !want[id] {
-			return
-		}
-		start := time.Now()
-		a, b, err := fn()
-		if err != nil {
-			fatal(err)
-		}
-		emit(aName, a)
-		emit(bName, b)
-		fmt.Printf("%s done in %v\n", id, time.Since(start).Round(time.Millisecond))
-		if id == "fig3" {
-			if saving, at, err := experiments.HeadlineSaving(b); err == nil {
-				fmt.Printf("headline: GE saves %.1f%% energy vs BE at rate %g (paper: up to 23.9%%)\n",
-					saving*100, at)
-			}
-		}
-	}
-
-	if want["fig1"] {
-		start := time.Now()
-		fig, err := experiments.Fig1(s)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig1_aes_fraction", fig)
-		fmt.Printf("fig1 done in %v\n", time.Since(start).Round(time.Millisecond))
-	}
-	if want["fig2"] {
-		fig, res := experiments.Fig2(s.Base.QGE)
-		emit("fig2_job_cutting", fig)
-		fmt.Printf("fig2: cut %d jobs, removed %.0f units, batch quality %.4f\n",
-			res.Cut, res.WorkRemoved, res.Quality)
-	}
-	runPair("fig3", "fig3a_quality", "fig3b_energy", func() (plot.Figure, plot.Figure, error) { return experiments.Fig3(s) })
-	runPair("fig4", "fig4a_quality", "fig4b_energy", func() (plot.Figure, plot.Figure, error) { return experiments.Fig4(s) })
-	runPair("fig5", "fig5a_quality", "fig5b_energy", func() (plot.Figure, plot.Figure, error) { return experiments.Fig5(s) })
-	runPair("fig6", "fig6a_avg_speed", "fig6b_speed_variance", func() (plot.Figure, plot.Figure, error) { return experiments.Fig6(s) })
-	runPair("fig7", "fig7a_quality", "fig7b_energy", func() (plot.Figure, plot.Figure, error) { return experiments.Fig7(s) })
-	runPair("fig8", "fig8a_quality", "fig8b_energy", func() (plot.Figure, plot.Figure, error) { return experiments.Fig8(s) })
-	runPair("fig9", "fig9a_quality", "fig9b_quality_functions", func() (plot.Figure, plot.Figure, error) {
-		s9 := s
-		s9.Rates = fig9Rates()
-		return experiments.Fig9(s9)
-	})
-	runPair("fig10", "fig10a_quality", "fig10b_energy", func() (plot.Figure, plot.Figure, error) { return experiments.Fig10(s) })
-	runPair("fig11", "fig11a_quality", "fig11b_energy", func() (plot.Figure, plot.Figure, error) {
-		s11 := s
-		s11.Rates = []float64{154} // fixed rate; x axis is the core count
-		return experiments.Fig11(s11)
-	})
-	runPair("fig12", "fig12a_quality", "fig12b_energy", func() (plot.Figure, plot.Figure, error) { return experiments.Fig12(s) })
-
-	// Ablations beyond the paper's figures (DESIGN.md §7): request with
-	// -figures ablations (or individually: abl-assign, abl-hybrid,
-	// abl-monitor, abl-static).
-	if want["ablations"] {
-		for _, id := range []string{"abl-assign", "abl-hybrid", "abl-monitor", "abl-static", "ext-latency", "ext-manycore", "ext-biglittle"} {
-			want[id] = true
-		}
-	}
-	runPair("abl-assign", "abl_assign_quality", "abl_assign_energy",
-		func() (plot.Figure, plot.Figure, error) { return experiments.AblationAssignment(s) })
-	runPair("abl-hybrid", "abl_hybrid_quality", "abl_hybrid_energy",
-		func() (plot.Figure, plot.Figure, error) { return experiments.AblationHybrid(s) })
-	runPair("abl-monitor", "abl_monitor_quality", "abl_monitor_switches",
-		func() (plot.Figure, plot.Figure, error) { return experiments.AblationMonitorWindow(s, 5) })
-	runPair("ext-latency", "ext_latency_mean", "ext_latency_p95",
-		func() (plot.Figure, plot.Figure, error) { return experiments.ExtLatency(s) })
-	runPair("ext-biglittle", "ext_biglittle_quality", "ext_biglittle_energy",
-		func() (plot.Figure, plot.Figure, error) { return experiments.ExtBigLittle(s) })
-	runPair("ext-manycore", "ext_manycore_quality", "ext_manycore_energy",
-		func() (plot.Figure, plot.Figure, error) {
-			sm := s
-			sm.Rates = []float64{154}
-			return experiments.ExtManyCore(sm)
-		})
-	if want["abl-static"] {
-		sStatic := s
-		sStatic.Rates = []float64{154}
-		fig, err := experiments.AblationStaticPower(sStatic, 10)
-		if err != nil {
-			fatal(err)
-		}
-		emit("abl_static_energy", fig)
-	}
+	return picked, nil
 }
 
-// fig9Rates is the paper's Fig. 9 x axis (180–240 req/s).
-func fig9Rates() []float64 {
-	rates := make([]float64, 0, 7)
-	for r := 180.0; r <= 240; r += 10 {
-		rates = append(rates, r)
+// emit writes fig as path.csv and path.txt, plus an ASCII chart on stdout
+// when asked.
+func emit(stdout io.Writer, path string, fig plot.Figure, ascii bool) error {
+	for _, f := range []struct {
+		ext   string
+		write func(io.Writer) error
+	}{{".csv", fig.WriteCSV}, {".txt", fig.WriteTable}} {
+		file, err := os.Create(path + f.ext)
+		if err != nil {
+			return err
+		}
+		err = f.write(file)
+		if cerr := file.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
 	}
-	return rates
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gesweep:", err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "wrote %s.csv (+.txt)\n", path)
+	if ascii {
+		return fig.WriteASCII(stdout, 72, 18)
+	}
+	return nil
 }

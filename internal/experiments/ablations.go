@@ -18,66 +18,30 @@ import (
 // the paper's Cumulative Round-Robin against plain Round-Robin and a
 // least-loaded assigner (§III-E argues C-RR balances better long-run).
 func AblationAssignment(s Settings) (qualityFig, energyFig plot.Figure, err error) {
-	if err := s.Validate(); err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	mkGE := func(name string, a func() assign.Assigner) func() sched.Policy {
-		return func() sched.Policy {
+	assigned := func(label, name string, a func() assign.Assigner) line {
+		return line{label, s.Base, func(float64) sched.Policy {
 			return core.New(name, core.Options{
 				Target: s.Base.QGE, Compensation: true,
 				Dist: dist.PolicyHybrid, Assigner: a(),
 			})
-		}
+		}}
 	}
-	set := map[string]func() sched.Policy{
-		"C-RR":         mkGE("GE/C-RR", func() assign.Assigner { return &assign.CumulativeRR{} }),
-		"RR":           mkGE("GE/RR", func() assign.Assigner { return assign.RoundRobin{} }),
-		"Least-Loaded": mkGE("GE/LL", func() assign.Assigner { return assign.LeastLoaded{} }),
-	}
-	res, err := s.sweepSet(set)
-	if err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	order := []string{"C-RR", "RR", "Least-Loaded"}
-	var qs, es []plot.Series
-	for _, name := range order {
-		qs = append(qs, series(name, res[name], qualityOf))
-		es = append(es, series(name, res[name], energyOf))
-	}
-	qualityFig = plot.Figure{Title: "Ablation: assignment policy (a) quality",
-		XLabel: "arrival rate (req/s)", YLabel: "service quality", Series: qs}
-	energyFig = plot.Figure{Title: "Ablation: assignment policy (b) energy",
-		XLabel: "arrival rate (req/s)", YLabel: "energy (J)", Series: es}
-	return qualityFig, energyFig, nil
+	return two(s.sweep(false, []line{
+		assigned("C-RR", "GE/C-RR", func() assign.Assigner { return &assign.CumulativeRR{} }),
+		assigned("RR", "GE/RR", func() assign.Assigner { return assign.RoundRobin{} }),
+		assigned("Least-Loaded", "GE/LL", func() assign.Assigner { return assign.LeastLoaded{} }),
+	}, qualityPanel("Ablation: assignment policy (a) quality"),
+		energyPanel("Ablation: assignment policy (b) energy")))
 }
 
 // AblationHybrid pits the paper's hybrid ES/WF switch against each fixed
 // policy, completing the Fig. 6–7 story: the hybrid should match ES's
 // energy at light load AND WF's quality at heavy load.
 func AblationHybrid(s Settings) (qualityFig, energyFig plot.Figure, err error) {
-	if err := s.Validate(); err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	set := map[string]func() sched.Policy{
-		"Hybrid":   func() sched.Policy { return core.NewGE(s.Base.QGE) },
-		"Fixed-WF": func() sched.Policy { return core.NewFixedDist(s.Base.QGE, dist.PolicyWF) },
-		"Fixed-ES": func() sched.Policy { return core.NewFixedDist(s.Base.QGE, dist.PolicyES) },
-	}
-	res, err := s.sweepSet(set)
-	if err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	order := []string{"Hybrid", "Fixed-WF", "Fixed-ES"}
-	var qs, es []plot.Series
-	for _, name := range order {
-		qs = append(qs, series(name, res[name], qualityOf))
-		es = append(es, series(name, res[name], energyOf))
-	}
-	qualityFig = plot.Figure{Title: "Ablation: hybrid distribution (a) quality",
-		XLabel: "arrival rate (req/s)", YLabel: "service quality", Series: qs}
-	energyFig = plot.Figure{Title: "Ablation: hybrid distribution (b) energy",
-		XLabel: "arrival rate (req/s)", YLabel: "energy (J)", Series: es}
-	return qualityFig, energyFig, nil
+	return two(s.sweep(false, []line{
+		ge("Hybrid", s.Base), s.fixedDist("Fixed-WF", dist.PolicyWF), s.fixedDist("Fixed-ES", dist.PolicyES),
+	}, qualityPanel("Ablation: hybrid distribution (a) quality"),
+		energyPanel("Ablation: hybrid distribution (b) energy")))
 }
 
 // AblationMonitorWindow compares the paper's cumulative quality monitor
@@ -85,38 +49,20 @@ func AblationHybrid(s Settings) (qualityFig, energyFig plot.Figure, err error) {
 // last W seconds only). The windowed monitor reacts faster after load
 // spikes but switches modes more often.
 func AblationMonitorWindow(s Settings, windowSec float64) (qualityFig, switchFig plot.Figure, err error) {
-	if err := s.Validate(); err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
 	if windowSec <= 0 {
 		return plot.Figure{}, plot.Figure{}, fmt.Errorf("experiments: window must be positive")
 	}
-	set := map[string]func() sched.Policy{
-		"Cumulative": func() sched.Policy { return core.NewGE(s.Base.QGE) },
-		"Windowed": func() sched.Policy {
+	return two(s.sweep(false, []line{
+		ge("Cumulative", s.Base),
+		{"Windowed", s.Base, func(float64) sched.Policy {
 			return core.New("GE-windowed", core.Options{
 				Target: s.Base.QGE, Compensation: true,
 				Dist: dist.PolicyHybrid, MonitorWindow: windowSec,
 			})
-		},
-	}
-	res, err := s.sweepSet(set)
-	if err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	order := []string{"Cumulative", "Windowed"}
-	var qs, ms []plot.Series
-	for _, name := range order {
-		qs = append(qs, series(name, res[name], qualityOf))
-		ms = append(ms, series(name, res[name], func(r sched.Result) float64 {
-			return float64(r.ModeSwitches)
-		}))
-	}
-	qualityFig = plot.Figure{Title: "Ablation: quality monitor (a) quality",
-		XLabel: "arrival rate (req/s)", YLabel: "service quality", Series: qs}
-	switchFig = plot.Figure{Title: "Ablation: quality monitor (b) mode switches",
-		XLabel: "arrival rate (req/s)", YLabel: "AES/BQ switches", Series: ms}
-	return qualityFig, switchFig, nil
+		}},
+	}, qualityPanel("Ablation: quality monitor (a) quality"),
+		panel{"Ablation: quality monitor (b) mode switches", "AES/BQ switches",
+			func(r sched.Result) float64 { return float64(r.ModeSwitches) }}))
 }
 
 // AblationStaticPower revisits the Fig. 11 core-count sweep with per-core
@@ -125,49 +71,25 @@ func AblationMonitorWindow(s Settings, windowSec float64) (qualityFig, switchFig
 // with a realistic static term the energy curve becomes U-shaped and an
 // optimal core count appears.
 func AblationStaticPower(s Settings, staticWatts float64) (plot.Figure, error) {
-	if err := s.Validate(); err != nil {
-		return plot.Figure{}, err
-	}
 	if staticWatts < 0 {
 		return plot.Figure{}, fmt.Errorf("experiments: static power must be non-negative")
 	}
-	rate := s.Rates[0]
-	var points []point
-	for exp := 0; exp <= 6; exp++ {
-		cores := 1 << exp
-		cfg := s.Base
-		cfg.Cores = cores
-		points = append(points, point{series: "GE", x: float64(exp), cfg: cfg,
-			mk:   func() sched.Policy { return core.NewGE(cfg.QGE) },
-			spec: s.spec(rate, false)})
-	}
-	res, err := runAll(points, s.workers())
+	figs, err := s.coreSweep(0, 6, false, func(rate float64) []panel {
+		return []panel{
+			energyPanel(fmt.Sprintf("Ablation: static power on the core-count sweep (rate = %g)", rate)),
+			{y: func(r sched.Result) float64 { return r.SimTime }}, // for the static term only
+		}
+	})
 	if err != nil {
 		return plot.Figure{}, err
 	}
-	dynamic := series("dynamic only", res["GE"], energyOf)
-	total := series(fmt.Sprintf("with %gW static/core", staticWatts), res["GE"],
-		func(r sched.Result) float64 { return r.Energy }) // placeholder, fixed below
-	for i, x := range total.X {
+	fig, dynamic, simTime := figs[0], figs[0].Series[0], figs[1].Series[0]
+	dynamic.Label = "dynamic only"
+	total := plot.Series{Label: fmt.Sprintf("with %gW static/core", staticWatts), X: dynamic.X}
+	for i, x := range dynamic.X {
 		cores := float64(int(1) << int(x))
-		r := res["GE"][x]
-		total.Y[i] = r.Energy + staticWatts*cores*r.SimTime
+		total.Y = append(total.Y, dynamic.Y[i]+staticWatts*cores*simTime.Y[i])
 	}
-	return plot.Figure{
-		Title:  fmt.Sprintf("Ablation: static power on the core-count sweep (rate = %g)", rate),
-		XLabel: "number of cores 2^x", YLabel: "energy (J)",
-		Series: []plot.Series{dynamic, total},
-	}, nil
-}
-
-// sweepSet runs every (policy, rate) combination of a named policy set.
-func (s Settings) sweepSet(set map[string]func() sched.Policy) (map[string]map[float64]sched.Result, error) {
-	var points []point
-	for name, mk := range set {
-		for _, rate := range s.Rates {
-			points = append(points, point{series: name, x: rate, cfg: s.Base, mk: mk,
-				spec: s.spec(rate, false)})
-		}
-	}
-	return runAll(points, s.workers())
+	fig.Series = []plot.Series{dynamic, total}
+	return fig, nil
 }

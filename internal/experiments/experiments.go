@@ -16,13 +16,18 @@
 //	Fig. 11  core-count sweep (2^0 … 2^6)
 //	Fig. 12  continuous vs discrete speed scaling
 //
-// Sweep points are independent simulations, so they execute on a worker
-// pool sized to GOMAXPROCS.
+// The ablations and extensions beyond the paper follow the same pattern.
+// Each runner only names its lines (label, machine, policy) and panels
+// (title, y label, extracted metric); one sweep validates the settings,
+// runs every point, an independent simulation, on a worker pool sized to
+// GOMAXPROCS, and draws one figure per panel. Targets lists every runner
+// for gesweep, with its file names and any rate axis the paper fixes.
 package experiments
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -117,58 +122,37 @@ type point struct {
 	spec   workload.Spec
 }
 
-// runAll executes points on a worker pool and indexes results by
-// (series, x).
+// runAll executes points on at most workers goroutines and indexes
+// results by (series, x). The first failing point's error, in point order,
+// fails the sweep.
 func runAll(points []point, workers int) (map[string]map[float64]sched.Result, error) {
-	type outcome struct {
-		series string
-		x      float64
-		res    sched.Result
-		err    error
-	}
-	jobs := make(chan point)
-	results := make(chan outcome)
+	results := make([]sched.Result, len(points))
+	errs := make([]error, len(points))
+	slots := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i, p := range points {
 		wg.Add(1)
+		slots <- struct{}{}
 		go func() {
-			defer wg.Done()
-			for p := range jobs {
-				r, err := sched.NewRunner(p.cfg, p.mk(), p.spec)
-				if err != nil {
-					results <- outcome{p.series, p.x, sched.Result{}, err}
-					continue
-				}
-				res, err := r.Run()
-				results <- outcome{p.series, p.x, res, err}
+			defer func() { <-slots; wg.Done() }()
+			r, err := sched.NewRunner(p.cfg, p.mk(), p.spec)
+			if err == nil {
+				results[i], err = r.Run()
 			}
+			errs[i] = err
 		}()
 	}
-	go func() {
-		for _, p := range points {
-			jobs <- p
-		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
+	wg.Wait()
 
 	out := make(map[string]map[float64]sched.Result)
-	var firstErr error
-	for o := range results {
-		if o.err != nil {
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			continue
+	for i, p := range points {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		if out[o.series] == nil {
-			out[o.series] = make(map[float64]sched.Result)
+		if out[p.series] == nil {
+			out[p.series] = make(map[float64]sched.Result)
 		}
-		out[o.series][o.x] = o.res
-	}
-	if firstErr != nil {
-		return nil, firstErr
+		out[p.series][p.x] = results[i]
 	}
 	return out, nil
 }
@@ -187,35 +171,118 @@ func series(label string, byX map[float64]sched.Result, f func(sched.Result) flo
 	return plot.Series{Label: label, X: xs, Y: ys}
 }
 
-func qualityOf(r sched.Result) float64 { return r.Quality }
-func energyOf(r sched.Result) float64  { return r.Energy }
+// line is one series of a sweep: its label, the machine it runs on, and
+// the policy each point gets fresh, given the point's arrival rate.
+type line struct {
+	label  string
+	cfg    sched.Config
+	policy func(rate float64) sched.Policy
+}
+
+// ge is the line running the paper's GE on cfg.
+func ge(label string, cfg sched.Config) line {
+	return line{label, cfg, func(float64) sched.Policy { return core.NewGE(cfg.QGE) }}
+}
+
+// at is the line's sweep point at x: cfg under the workload spec.
+func (l line) at(x float64, cfg sched.Config, spec workload.Spec) point {
+	return point{series: l.label, x: x, cfg: cfg, spec: spec,
+		mk: func() sched.Policy { return l.policy(spec.ArrivalRate) }}
+}
+
+// panel is one figure drawn from a sweep: its title, y-axis label and the
+// y value of each point.
+type panel struct {
+	title, yLabel string
+	y             func(sched.Result) float64
+}
+
+func qualityPanel(title string) panel {
+	return panel{title, "service quality", func(r sched.Result) float64 { return r.Quality }}
+}
+
+func energyPanel(title string) panel {
+	return panel{title, "energy (J)", func(r sched.Result) float64 { return r.Energy }}
+}
+
+// sweep runs every line at every rate of s, with random deadline windows
+// if randomWindow, and draws one figure per panel.
+func (s Settings) sweep(randomWindow bool, lines []line, panels ...panel) ([]plot.Figure, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	var points []point
+	for _, l := range lines {
+		for _, rate := range s.Rates {
+			points = append(points, l.at(rate, l.cfg, s.spec(rate, randomWindow)))
+		}
+	}
+	return s.draw("arrival rate (req/s)", lines, points, panels)
+}
+
+// coreSweep runs GE at the first rate of s on 2^lo … 2^hi cores, with the
+// exponent as x. Under weak scaling the power budget, critical load and
+// arrival rate grow with the cores (per 16). panels gets the first rate,
+// which the titles name.
+func (s Settings) coreSweep(lo, hi int, weak bool, panels func(rate float64) []panel) ([]plot.Figure, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	l := ge("GE", s.Base)
+	var points []point
+	for exp := lo; exp <= hi; exp++ {
+		cfg, rate := s.Base, s.Rates[0]
+		cfg.Cores = 1 << exp
+		if weak {
+			scale := float64(cfg.Cores) / 16
+			cfg.PowerBudget *= scale
+			cfg.CriticalLoad *= scale
+			rate *= scale
+		}
+		points = append(points, l.at(float64(exp), cfg, s.spec(rate, false)))
+	}
+	xLabel := "number of cores 2^x"
+	if weak {
+		xLabel = "log2(cores)"
+	}
+	return s.draw(xLabel, []line{l}, points, panels(s.Rates[0]))
+}
+
+// draw runs the points and draws one figure per panel, with one series
+// per line, in order.
+func (s Settings) draw(xLabel string, lines []line, points []point, panels []panel) ([]plot.Figure, error) {
+	res, err := runAll(points, s.workers())
+	if err != nil {
+		return nil, err
+	}
+	figs := make([]plot.Figure, len(panels))
+	for i, p := range panels {
+		figs[i] = plot.Figure{Title: p.title, XLabel: xLabel, YLabel: p.yLabel}
+		for _, l := range lines {
+			figs[i].Series = append(figs[i].Series, series(l.label, res[l.label], p.y))
+		}
+	}
+	return figs, nil
+}
+
+// two unpacks a two-panel sweep.
+func two(figs []plot.Figure, err error) (plot.Figure, plot.Figure, error) {
+	if err != nil {
+		return plot.Figure{}, plot.Figure{}, err
+	}
+	return figs[0], figs[1], nil
+}
 
 // Fig1 reproduces Figure 1: the fraction of time GE spends in AES mode as
 // the arrival rate grows.
 func Fig1(s Settings) (plot.Figure, error) {
-	if err := s.Validate(); err != nil {
-		return plot.Figure{}, err
-	}
-	var points []point
-	for _, rate := range s.Rates {
-		points = append(points, point{
-			series: "GE", x: rate, cfg: s.Base,
-			mk:   func() sched.Policy { return core.NewGE(s.Base.QGE) },
-			spec: s.spec(rate, false),
-		})
-	}
-	res, err := runAll(points, s.workers())
+	figs, err := s.sweep(false, []line{ge("GE", s.Base)}, panel{
+		"Fig 1: execution-time percentage of the AES mode", "fraction of time in AES mode",
+		func(r sched.Result) float64 { return r.AESFraction }})
 	if err != nil {
 		return plot.Figure{}, err
 	}
-	return plot.Figure{
-		Title:  "Fig 1: execution-time percentage of the AES mode",
-		XLabel: "arrival rate (req/s)",
-		YLabel: "fraction of time in AES mode",
-		Series: []plot.Series{series("GE", res["GE"], func(r sched.Result) float64 {
-			return r.AESFraction
-		})},
-	}, nil
+	return figs[0], nil
 }
 
 // Fig2 reproduces the Figure 2 illustration: LF cutting of four jobs
@@ -247,163 +314,65 @@ func Fig2(qge float64) (plot.Figure, cut.Result) {
 	}, res
 }
 
-// schedulerSet returns the Fig. 3 policy roster (Fig. 4 adds FDFS).
-func schedulerSet(qge float64, withFDFS bool) map[string]func() sched.Policy {
-	set := map[string]func() sched.Policy{
-		"GE":   func() sched.Policy { return core.NewGE(qge) },
-		"OQ":   func() sched.Policy { return core.NewOQ(qge) },
-		"BE":   func() sched.Policy { return core.NewBE() },
-		"FCFS": func() sched.Policy { return sched.NewFCFS() },
-		"LJF":  func() sched.Policy { return sched.NewLJF() },
-		"SJF":  func() sched.Policy { return sched.NewSJF() },
+// roster is the Fig. 3 scheduler lineup, in legend order.
+func (s Settings) roster() []line {
+	q := s.Base.QGE
+	return []line{
+		ge("GE", s.Base),
+		{"OQ", s.Base, func(float64) sched.Policy { return core.NewOQ(q) }},
+		{"BE", s.Base, func(float64) sched.Policy { return core.NewBE() }},
+		{"FCFS", s.Base, func(float64) sched.Policy { return sched.NewFCFS() }},
+		{"LJF", s.Base, func(float64) sched.Policy { return sched.NewLJF() }},
+		{"SJF", s.Base, func(float64) sched.Policy { return sched.NewSJF() }},
 	}
-	if withFDFS {
-		set["FDFS"] = func() sched.Policy { return sched.NewFDFS() }
-	}
-	return set
-}
-
-// schedulerOrder fixes the legend order for reproducible output.
-func schedulerOrder(withFDFS bool) []string {
-	if withFDFS {
-		return []string{"GE", "OQ", "BE", "FCFS", "FDFS", "LJF", "SJF"}
-	}
-	return []string{"GE", "OQ", "BE", "FCFS", "LJF", "SJF"}
-}
-
-// comparison runs a roster sweep and splits it into quality and energy
-// panels (the (a)/(b) structure of Figs. 3, 4).
-func (s Settings) comparison(title string, randomWindow, withFDFS bool) (qualityFig, energyFig plot.Figure, err error) {
-	if err := s.Validate(); err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	set := schedulerSet(s.Base.QGE, withFDFS)
-	var points []point
-	for name, mk := range set {
-		for _, rate := range s.Rates {
-			points = append(points, point{
-				series: name, x: rate, cfg: s.Base, mk: mk,
-				spec: s.spec(rate, randomWindow),
-			})
-		}
-	}
-	res, err := runAll(points, s.workers())
-	if err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	var qs, es []plot.Series
-	for _, name := range schedulerOrder(withFDFS) {
-		qs = append(qs, series(name, res[name], qualityOf))
-		es = append(es, series(name, res[name], energyOf))
-	}
-	qualityFig = plot.Figure{Title: title + " (a) service quality",
-		XLabel: "arrival rate (req/s)", YLabel: "service quality", Series: qs}
-	energyFig = plot.Figure{Title: title + " (b) energy consumption",
-		XLabel: "arrival rate (req/s)", YLabel: "energy (J)", Series: es}
-	return qualityFig, energyFig, nil
 }
 
 // Fig3 reproduces Figure 3: scheduler comparison with fixed 150 ms windows.
 func Fig3(s Settings) (qualityFig, energyFig plot.Figure, err error) {
-	return s.comparison("Fig 3: scheduler comparison", false, false)
+	return two(s.sweep(false, s.roster(),
+		qualityPanel("Fig 3: scheduler comparison (a) service quality"),
+		energyPanel("Fig 3: scheduler comparison (b) energy consumption")))
 }
 
 // Fig4 reproduces Figure 4: scheduler comparison with random 150–500 ms
 // deadline windows, adding FDFS.
 func Fig4(s Settings) (qualityFig, energyFig plot.Figure, err error) {
-	return s.comparison("Fig 4: random deadline intervals", true, true)
+	lines := slices.Insert(s.roster(), 4,
+		line{"FDFS", s.Base, func(float64) sched.Policy { return sched.NewFDFS() }})
+	return two(s.sweep(true, lines,
+		qualityPanel("Fig 4: random deadline intervals (a) service quality"),
+		energyPanel("Fig 4: random deadline intervals (b) energy consumption")))
 }
 
 // Fig5 reproduces Figure 5: GE with and without the compensation policy.
 func Fig5(s Settings) (qualityFig, energyFig plot.Figure, err error) {
-	if err := s.Validate(); err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	set := map[string]func() sched.Policy{
-		"Compensation":    func() sched.Policy { return core.NewGE(s.Base.QGE) },
-		"No-Compensation": func() sched.Policy { return core.NewNoComp(s.Base.QGE) },
-	}
-	var points []point
-	for name, mk := range set {
-		for _, rate := range s.Rates {
-			points = append(points, point{series: name, x: rate, cfg: s.Base, mk: mk,
-				spec: s.spec(rate, false)})
-		}
-	}
-	res, err := runAll(points, s.workers())
-	if err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	order := []string{"Compensation", "No-Compensation"}
-	var qs, es []plot.Series
-	for _, name := range order {
-		qs = append(qs, series(name, res[name], qualityOf))
-		es = append(es, series(name, res[name], energyOf))
-	}
-	qualityFig = plot.Figure{Title: "Fig 5: compensation policy (a) quality",
-		XLabel: "arrival rate (req/s)", YLabel: "service quality", Series: qs}
-	energyFig = plot.Figure{Title: "Fig 5: compensation policy (b) energy",
-		XLabel: "arrival rate (req/s)", YLabel: "energy (J)", Series: es}
-	return qualityFig, energyFig, nil
+	return two(s.sweep(false, []line{
+		ge("Compensation", s.Base),
+		{"No-Compensation", s.Base, func(float64) sched.Policy { return core.NewNoComp(s.Base.QGE) }},
+	}, qualityPanel("Fig 5: compensation policy (a) quality"),
+		energyPanel("Fig 5: compensation policy (b) energy")))
 }
 
-// fixedDistSweep powers Figs. 6 and 7: GE pinned to WF or ES.
-func (s Settings) fixedDistSweep() (map[string]map[float64]sched.Result, error) {
-	set := map[string]func() sched.Policy{
-		"Water-Filling": func() sched.Policy { return core.NewFixedDist(s.Base.QGE, dist.PolicyWF) },
-		"Equal-Sharing": func() sched.Policy { return core.NewFixedDist(s.Base.QGE, dist.PolicyES) },
-	}
-	var points []point
-	for name, mk := range set {
-		for _, rate := range s.Rates {
-			points = append(points, point{series: name, x: rate, cfg: s.Base, mk: mk,
-				spec: s.spec(rate, false)})
-		}
-	}
-	return runAll(points, s.workers())
+// fixedDist is the line running GE pinned to one power distribution.
+func (s Settings) fixedDist(label string, d dist.Policy) line {
+	return line{label, s.Base, func(float64) sched.Policy { return core.NewFixedDist(s.Base.QGE, d) }}
 }
 
 // Fig6 reproduces Figure 6: average core speed and speed variance under WF
 // vs ES.
 func Fig6(s Settings) (avgFig, varFig plot.Figure, err error) {
-	if err := s.Validate(); err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	res, err := s.fixedDistSweep()
-	if err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	order := []string{"Water-Filling", "Equal-Sharing"}
-	var av, vv []plot.Series
-	for _, name := range order {
-		av = append(av, series(name, res[name], func(r sched.Result) float64 { return r.AvgSpeed }))
-		vv = append(vv, series(name, res[name], func(r sched.Result) float64 { return r.SpeedVariance }))
-	}
-	avgFig = plot.Figure{Title: "Fig 6: power distribution (a) average speed",
-		XLabel: "arrival rate (req/s)", YLabel: "average speed (GHz)", Series: av}
-	varFig = plot.Figure{Title: "Fig 6: power distribution (b) speed variance",
-		XLabel: "arrival rate (req/s)", YLabel: "speed variance", Series: vv}
-	return avgFig, varFig, nil
+	return two(s.sweep(false, []line{
+		s.fixedDist("Water-Filling", dist.PolicyWF), s.fixedDist("Equal-Sharing", dist.PolicyES),
+	}, panel{"Fig 6: power distribution (a) average speed", "average speed (GHz)",
+		func(r sched.Result) float64 { return r.AvgSpeed }},
+		panel{"Fig 6: power distribution (b) speed variance", "speed variance",
+			func(r sched.Result) float64 { return r.SpeedVariance }}))
 }
 
 // Fig7 reproduces Figure 7: quality and energy under WF vs ES.
 func Fig7(s Settings) (qualityFig, energyFig plot.Figure, err error) {
-	if err := s.Validate(); err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	res, err := s.fixedDistSweep()
-	if err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	order := []string{"Water-Filling", "Equal-Sharing"}
-	var qs, es []plot.Series
-	for _, name := range order {
-		qs = append(qs, series(name, res[name], qualityOf))
-		es = append(es, series(name, res[name], energyOf))
-	}
-	qualityFig = plot.Figure{Title: "Fig 7: power distribution (a) quality",
-		XLabel: "arrival rate (req/s)", YLabel: "service quality", Series: qs}
-	energyFig = plot.Figure{Title: "Fig 7: power distribution (b) energy",
-		XLabel: "arrival rate (req/s)", YLabel: "energy (J)", Series: es}
-	return qualityFig, energyFig, nil
+	return two(s.sweep(false, []line{
+		s.fixedDist("Water-Filling", dist.PolicyWF), s.fixedDist("Equal-Sharing", dist.PolicyES),
+	}, qualityPanel("Fig 7: power distribution (a) quality"),
+		energyPanel("Fig 7: power distribution (b) energy")))
 }

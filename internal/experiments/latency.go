@@ -15,33 +15,14 @@ import (
 // approximate computing buys latency as well as energy, which is the
 // argument of the AccuracyTrader/CLAP line of work the paper cites.
 func ExtLatency(s Settings) (meanFig, p95Fig plot.Figure, err error) {
-	if err := s.Validate(); err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	set := map[string]func() sched.Policy{
-		"GE":   func() sched.Policy { return core.NewGE(s.Base.QGE) },
-		"BE":   func() sched.Policy { return core.NewBE() },
-		"FDFS": func() sched.Policy { return sched.NewFDFS() },
-	}
-	res, err := s.sweepSet(set)
-	if err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	order := []string{"GE", "BE", "FDFS"}
-	var ms, ps []plot.Series
-	for _, name := range order {
-		ms = append(ms, series(name, res[name], func(r sched.Result) float64 {
-			return r.MeanResponse * 1000 // ms
-		}))
-		ps = append(ps, series(name, res[name], func(r sched.Result) float64 {
-			return r.P95Response * 1000
-		}))
-	}
-	meanFig = plot.Figure{Title: "Extension: mean response time",
-		XLabel: "arrival rate (req/s)", YLabel: "mean response (ms)", Series: ms}
-	p95Fig = plot.Figure{Title: "Extension: p95 response time",
-		XLabel: "arrival rate (req/s)", YLabel: "p95 response (ms)", Series: ps}
-	return meanFig, p95Fig, nil
+	return two(s.sweep(false, []line{
+		ge("GE", s.Base),
+		{"BE", s.Base, func(float64) sched.Policy { return core.NewBE() }},
+		{"FDFS", s.Base, func(float64) sched.Policy { return sched.NewFDFS() }},
+	}, panel{"Extension: mean response time", "mean response (ms)",
+		func(r sched.Result) float64 { return r.MeanResponse * 1000 }},
+		panel{"Extension: p95 response time", "p95 response (ms)",
+			func(r sched.Result) float64 { return r.P95Response * 1000 }}))
 }
 
 // ExtManyCore is the paper's future-work scenario (§VI: "many-core
@@ -51,46 +32,20 @@ func ExtLatency(s Settings) (meanFig, p95Fig plot.Figure, err error) {
 // flat while per-request energy falls slightly (more cores smooth the
 // Poisson bursts). The x axis is log2(cores).
 func ExtManyCore(s Settings) (qualityFig, energyFig plot.Figure, err error) {
-	if err := s.Validate(); err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	baseRate := s.Rates[0]
-	var points []point
-	for exp := 4; exp <= 8; exp++ { // 16 .. 256 cores
-		cores := 1 << exp
-		scale := float64(cores) / 16
-		cfg := s.Base
-		cfg.Cores = cores
-		cfg.PowerBudget = s.Base.PowerBudget * scale
-		cfg.CriticalLoad = s.Base.CriticalLoad * scale
-		spec := s.spec(baseRate*scale, false)
-		points = append(points, point{series: "GE", x: float64(exp), cfg: cfg,
-			mk:   func() sched.Policy { return core.NewGE(cfg.QGE) },
-			spec: spec})
-	}
-	res, err := runAll(points, s.workers())
-	if err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	qualityFig = plot.Figure{
-		Title:  fmt.Sprintf("Extension: weak scaling to many-core (rate = %g/16 cores)", baseRate),
-		XLabel: "log2(cores)", YLabel: "service quality",
-		Series: []plot.Series{series("GE", res["GE"], qualityOf)},
-	}
-	// Energy per simulated request keeps the panels comparable across
-	// machine sizes.
-	perJob := series("GE", res["GE"], func(r sched.Result) float64 {
-		if r.Jobs == 0 {
-			return 0
+	return two(s.coreSweep(4, 8, true, func(rate float64) []panel {
+		return []panel{
+			qualityPanel(fmt.Sprintf("Extension: weak scaling to many-core (rate = %g/16 cores)", rate)),
+			// Energy per simulated request keeps the panels comparable
+			// across machine sizes.
+			{"Extension: weak scaling, energy per request", "energy per request (J)",
+				func(r sched.Result) float64 {
+					if r.Jobs == 0 {
+						return 0
+					}
+					return r.Energy / float64(r.Jobs)
+				}},
 		}
-		return r.Energy / float64(r.Jobs)
-	})
-	energyFig = plot.Figure{
-		Title:  "Extension: weak scaling, energy per request",
-		XLabel: "log2(cores)", YLabel: "energy per request (J)",
-		Series: []plot.Series{perJob},
-	}
-	return qualityFig, energyFig, nil
+	}))
 }
 
 // ExtBigLittle compares a homogeneous 16-core machine against a
@@ -98,10 +53,9 @@ func ExtManyCore(s Settings) (qualityFig, energyFig plot.Figure, err error) {
 // (the paper's "different hardware platforms" future work). Little cores
 // use half the power coefficient (a = 2.5) but cap at 1.6 GHz.
 func ExtBigLittle(s Settings) (qualityFig, energyFig plot.Figure, err error) {
-	if err := s.Validate(); err != nil {
+	if err := s.Validate(); err != nil { // before sizing the per-core models
 		return plot.Figure{}, plot.Figure{}, err
 	}
-	hetero := s.Base
 	models := make([]power.Model, s.Base.Cores)
 	for i := range models {
 		if i < len(models)/2 {
@@ -111,34 +65,9 @@ func ExtBigLittle(s Settings) (qualityFig, energyFig plot.Figure, err error) {
 				MaxSpeed: 1.6} // little
 		}
 	}
+	hetero := s.Base
 	hetero.PerCoreModels = models
-
-	configs := map[string]sched.Config{
-		"Homogeneous": s.Base,
-		"big.LITTLE":  hetero,
-	}
-	var points []point
-	for name, cfg := range configs {
-		cfg := cfg
-		for _, rate := range s.Rates {
-			points = append(points, point{series: name, x: rate, cfg: cfg,
-				mk:   func() sched.Policy { return core.NewGE(cfg.QGE) },
-				spec: s.spec(rate, false)})
-		}
-	}
-	res, err := runAll(points, s.workers())
-	if err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	order := []string{"Homogeneous", "big.LITTLE"}
-	var qs, es []plot.Series
-	for _, name := range order {
-		qs = append(qs, series(name, res[name], qualityOf))
-		es = append(es, series(name, res[name], energyOf))
-	}
-	qualityFig = plot.Figure{Title: "Extension: heterogeneous cores (a) quality",
-		XLabel: "arrival rate (req/s)", YLabel: "service quality", Series: qs}
-	energyFig = plot.Figure{Title: "Extension: heterogeneous cores (b) energy",
-		XLabel: "arrival rate (req/s)", YLabel: "energy (J)", Series: es}
-	return qualityFig, energyFig, nil
+	return two(s.sweep(false, []line{ge("Homogeneous", s.Base), ge("big.LITTLE", hetero)},
+		qualityPanel("Extension: heterogeneous cores (a) quality"),
+		energyPanel("Extension: heterogeneous cores (b) energy")))
 }

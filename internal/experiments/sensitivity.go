@@ -16,11 +16,21 @@ import (
 // complete the quality guarantee").
 const CalibrationIters = 7
 
-// calibrate runs a bisection over x in [lo, hi]: predicate(x) reports
-// whether quality >= target at parameter x, assumed monotone in x. It
-// returns the smallest x (to bisection resolution) satisfying it, or hi if
-// even hi fails (overload — use everything available).
-func calibrate(lo, hi float64, iters int, meets func(x float64) (bool, error)) (float64, error) {
+// calibrate bisects (0, hi] for the least x at which BE under policy(x)
+// meets QGE at the given rate, quality being monotone in x. It returns hi
+// when even hi falls short (overload: use everything available).
+func (s Settings) calibrate(rate, hi float64, policy func(x float64) sched.Policy) (float64, error) {
+	meets := func(x float64) (bool, error) {
+		if x <= 0 {
+			return false, nil
+		}
+		r, err := sched.NewRunner(s.Base, policy(x), s.spec(rate, false))
+		if err != nil {
+			return false, err
+		}
+		res, err := r.Run()
+		return res.Quality >= s.Base.QGE, err
+	}
 	okHi, err := meets(hi)
 	if err != nil {
 		return 0, err
@@ -28,7 +38,8 @@ func calibrate(lo, hi float64, iters int, meets func(x float64) (bool, error)) (
 	if !okHi {
 		return hi, nil
 	}
-	for i := 0; i < iters; i++ {
+	lo := 0.0
+	for i := 0; i < CalibrationIters; i++ {
 		mid := (lo + hi) / 2
 		ok, err := meets(mid)
 		if err != nil {
@@ -46,96 +57,39 @@ func calibrate(lo, hi float64, iters int, meets func(x float64) (bool, error)) (
 // CalibrateBEP finds the least power budget at which BE meets QGE for the
 // given arrival rate.
 func CalibrateBEP(s Settings, rate float64) (float64, error) {
-	return calibrate(0, s.Base.PowerBudget, CalibrationIters, func(budget float64) (bool, error) {
-		if budget <= 0 {
-			return false, nil
-		}
-		r, err := sched.NewRunner(s.Base, core.NewBEP(budget), s.spec(rate, false))
-		if err != nil {
-			return false, err
-		}
-		res, err := r.Run()
-		if err != nil {
-			return false, err
-		}
-		return res.Quality >= s.Base.QGE, nil
-	})
+	return s.calibrate(rate, s.Base.PowerBudget, func(budget float64) sched.Policy { return core.NewBEP(budget) })
 }
 
 // CalibrateBES finds the least per-core speed cap at which BE meets QGE.
 func CalibrateBES(s Settings, rate float64) (float64, error) {
-	maxSpeed := s.Base.Model.Speed(s.Base.PowerBudget)
-	return calibrate(0, maxSpeed, CalibrationIters, func(cap float64) (bool, error) {
-		if cap <= 0 {
-			return false, nil
-		}
-		r, err := sched.NewRunner(s.Base, core.NewBES(cap), s.spec(rate, false))
-		if err != nil {
-			return false, err
-		}
-		res, err := r.Run()
-		if err != nil {
-			return false, err
-		}
-		return res.Quality >= s.Base.QGE, nil
-	})
+	return s.calibrate(rate, s.Base.Model.Speed(s.Base.PowerBudget),
+		func(cap float64) sched.Policy { return core.NewBES(cap) })
 }
 
 // Fig8 reproduces Figure 8: the quality-control policy (GE) against the
 // power-control (BE-P) and speed-control (BE-S) policies, each calibrated
-// per arrival rate to the least budget/speed meeting QGE.
+// per arrival rate to the least budget/speed meeting QGE. Calibration
+// bisects serially, rate by rate; the final sweep runs on the pool.
 func Fig8(s Settings) (qualityFig, energyFig plot.Figure, err error) {
 	if err := s.Validate(); err != nil {
 		return plot.Figure{}, plot.Figure{}, err
 	}
-	// Calibration is sequential per rate (bisection), but rates are
-	// independent — reuse the pool via runAll on the final points after
-	// calibrating in parallel would complicate error handling; rates are
-	// few, so calibrate serially and then run the final sweep in parallel.
-	bepBudget := make(map[float64]float64, len(s.Rates))
-	besCap := make(map[float64]float64, len(s.Rates))
+	budget := make(map[float64]float64, len(s.Rates))
+	speedCap := make(map[float64]float64, len(s.Rates))
 	for _, rate := range s.Rates {
-		b, err := CalibrateBEP(s, rate)
-		if err != nil {
+		if budget[rate], err = CalibrateBEP(s, rate); err != nil {
 			return plot.Figure{}, plot.Figure{}, err
 		}
-		bepBudget[rate] = b
-		c, err := CalibrateBES(s, rate)
-		if err != nil {
+		if speedCap[rate], err = CalibrateBES(s, rate); err != nil {
 			return plot.Figure{}, plot.Figure{}, err
 		}
-		besCap[rate] = c
 	}
-	var points []point
-	for _, rate := range s.Rates {
-		rate := rate
-		points = append(points,
-			point{series: "GE", x: rate, cfg: s.Base,
-				mk:   func() sched.Policy { return core.NewGE(s.Base.QGE) },
-				spec: s.spec(rate, false)},
-			point{series: "BE-P", x: rate, cfg: s.Base,
-				mk:   func() sched.Policy { return core.NewBEP(bepBudget[rate]) },
-				spec: s.spec(rate, false)},
-			point{series: "BE-S", x: rate, cfg: s.Base,
-				mk:   func() sched.Policy { return core.NewBES(besCap[rate]) },
-				spec: s.spec(rate, false)},
-		)
-	}
-	res, err := runAll(points, s.workers())
-	if err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	order := []string{"GE", "BE-P", "BE-S"}
-	var qs, es []plot.Series
-	for _, name := range order {
-		qs = append(qs, series(name, res[name], qualityOf))
-		es = append(es, series(name, res[name], energyOf))
-	}
-	qualityFig = plot.Figure{Title: "Fig 8: control policies (a) quality",
-		XLabel: "arrival rate (req/s)", YLabel: "service quality", Series: qs}
-	energyFig = plot.Figure{Title: "Fig 8: control policies (b) energy",
-		XLabel: "arrival rate (req/s)", YLabel: "energy (J)", Series: es}
-	return qualityFig, energyFig, nil
+	return two(s.sweep(false, []line{
+		ge("GE", s.Base),
+		{"BE-P", s.Base, func(rate float64) sched.Policy { return core.NewBEP(budget[rate]) }},
+		{"BE-S", s.Base, func(rate float64) sched.Policy { return core.NewBES(speedCap[rate]) }},
+	}, qualityPanel("Fig 8: control policies (a) quality"),
+		energyPanel("Fig 8: control policies (b) energy")))
 }
 
 // Fig9Concavities is the paper's c sweep for Figure 9.
@@ -145,48 +99,30 @@ var Fig9Concavities = []float64{0.0005, 0.001, 0.002, 0.003, 0.005, 0.009}
 // quality-function concavities, and (b) the quality-function curves
 // themselves.
 func Fig9(s Settings) (qualityFig, curvesFig plot.Figure, err error) {
-	if err := s.Validate(); err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	var points []point
+	var lines []line
 	for _, c := range Fig9Concavities {
-		c := c
 		cfg := s.Base
 		cfg.Quality = quality.NewExponential(c, 1000)
-		name := fmt.Sprintf("c = %g", c)
-		for _, rate := range s.Rates {
-			points = append(points, point{series: name, x: rate, cfg: cfg,
-				mk:   func() sched.Policy { return core.NewGE(cfg.QGE) },
-				spec: s.spec(rate, false)})
-		}
+		lines = append(lines, ge(fmt.Sprintf("c = %g", c), cfg))
 	}
-	res, err := runAll(points, s.workers())
+	figs, err := s.sweep(false, lines, qualityPanel("Fig 9 (a): service quality of GE vs concavity"))
 	if err != nil {
 		return plot.Figure{}, plot.Figure{}, err
 	}
-	var qs []plot.Series
-	for _, c := range Fig9Concavities {
-		name := fmt.Sprintf("c = %g", c)
-		qs = append(qs, series(name, res[name], qualityOf))
-	}
-	qualityFig = plot.Figure{Title: "Fig 9 (a): service quality of GE vs concavity",
-		XLabel: "arrival rate (req/s)", YLabel: "service quality", Series: qs}
 
 	// Panel (b): the f(x) curves, no simulation needed.
-	var curves []plot.Series
+	curvesFig = plot.Figure{Title: "Fig 9 (b): quality functions",
+		XLabel: "processed volume x", YLabel: "quality"}
 	for _, c := range Fig9Concavities {
 		f := quality.NewExponential(c, 1000)
-		xs := make([]float64, 0, 61)
-		ys := make([]float64, 0, 61)
+		curve := plot.Series{Label: fmt.Sprintf("c=%g", c)}
 		for x := 0.0; x <= 3000; x += 50 {
-			xs = append(xs, x)
-			ys = append(ys, f.Value(x))
+			curve.X = append(curve.X, x)
+			curve.Y = append(curve.Y, f.Value(x))
 		}
-		curves = append(curves, plot.Series{Label: fmt.Sprintf("c=%g", c), X: xs, Y: ys})
+		curvesFig.Series = append(curvesFig.Series, curve)
 	}
-	curvesFig = plot.Figure{Title: "Fig 9 (b): quality functions",
-		XLabel: "processed volume x", YLabel: "quality", Series: curves}
-	return qualityFig, curvesFig, nil
+	return figs[0], curvesFig, nil
 }
 
 // Fig10Budgets is the paper's budget sweep for Figure 10.
@@ -194,68 +130,26 @@ var Fig10Budgets = []float64{80, 160, 320, 480}
 
 // Fig10 reproduces Figure 10: GE under different total power budgets.
 func Fig10(s Settings) (qualityFig, energyFig plot.Figure, err error) {
-	if err := s.Validate(); err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	var points []point
+	var lines []line
 	for _, h := range Fig10Budgets {
 		cfg := s.Base
 		cfg.PowerBudget = h
-		name := fmt.Sprintf("budget = %g", h)
-		for _, rate := range s.Rates {
-			points = append(points, point{series: name, x: rate, cfg: cfg,
-				mk:   func() sched.Policy { return core.NewGE(cfg.QGE) },
-				spec: s.spec(rate, false)})
-		}
+		lines = append(lines, ge(fmt.Sprintf("budget = %g", h), cfg))
 	}
-	res, err := runAll(points, s.workers())
-	if err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	var qs, es []plot.Series
-	for _, h := range Fig10Budgets {
-		name := fmt.Sprintf("budget = %g", h)
-		qs = append(qs, series(name, res[name], qualityOf))
-		es = append(es, series(name, res[name], energyOf))
-	}
-	qualityFig = plot.Figure{Title: "Fig 10: power budget (a) quality",
-		XLabel: "arrival rate (req/s)", YLabel: "service quality", Series: qs}
-	energyFig = plot.Figure{Title: "Fig 10: power budget (b) energy",
-		XLabel: "arrival rate (req/s)", YLabel: "energy (J)", Series: es}
-	return qualityFig, energyFig, nil
+	return two(s.sweep(false, lines,
+		qualityPanel("Fig 10: power budget (a) quality"),
+		energyPanel("Fig 10: power budget (b) energy")))
 }
 
 // Fig11 reproduces Figure 11: GE with core counts 2^0 … 2^6 at a fixed
 // arrival rate (the first entry of s.Rates).
 func Fig11(s Settings) (qualityFig, energyFig plot.Figure, err error) {
-	if err := s.Validate(); err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	rate := s.Rates[0]
-	var points []point
-	for exp := 0; exp <= 6; exp++ {
-		cores := 1 << exp
-		cfg := s.Base
-		cfg.Cores = cores
-		points = append(points, point{series: "GE", x: float64(exp), cfg: cfg,
-			mk:   func() sched.Policy { return core.NewGE(cfg.QGE) },
-			spec: s.spec(rate, false)})
-	}
-	res, err := runAll(points, s.workers())
-	if err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	qualityFig = plot.Figure{
-		Title:  fmt.Sprintf("Fig 11: core count (a) quality (rate = %g)", rate),
-		XLabel: "number of cores 2^x", YLabel: "service quality",
-		Series: []plot.Series{series("GE", res["GE"], qualityOf)},
-	}
-	energyFig = plot.Figure{
-		Title:  fmt.Sprintf("Fig 11: core count (b) energy (rate = %g)", rate),
-		XLabel: "number of cores 2^x", YLabel: "energy (J)",
-		Series: []plot.Series{series("GE", res["GE"], energyOf)},
-	}
-	return qualityFig, energyFig, nil
+	return two(s.coreSweep(0, 6, false, func(rate float64) []panel {
+		return []panel{
+			qualityPanel(fmt.Sprintf("Fig 11: core count (a) quality (rate = %g)", rate)),
+			energyPanel(fmt.Sprintf("Fig 11: core count (b) energy (rate = %g)", rate)),
+		}
+	}))
 }
 
 // DefaultLadder is the discrete DVFS ladder used by Figure 12: sixteen
@@ -271,39 +165,11 @@ func DefaultLadder() *power.Ladder {
 // Fig12 reproduces Figure 12: GE under continuous vs discrete speed
 // scaling.
 func Fig12(s Settings) (qualityFig, energyFig plot.Figure, err error) {
-	if err := s.Validate(); err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
 	discrete := s.Base
 	discrete.Ladder = DefaultLadder()
-	configs := map[string]sched.Config{
-		"Continuous Speed": s.Base,
-		"Discrete Speed":   discrete,
-	}
-	var points []point
-	for name, cfg := range configs {
-		cfg := cfg
-		for _, rate := range s.Rates {
-			points = append(points, point{series: name, x: rate, cfg: cfg,
-				mk:   func() sched.Policy { return core.NewGE(cfg.QGE) },
-				spec: s.spec(rate, false)})
-		}
-	}
-	res, err := runAll(points, s.workers())
-	if err != nil {
-		return plot.Figure{}, plot.Figure{}, err
-	}
-	order := []string{"Continuous Speed", "Discrete Speed"}
-	var qs, es []plot.Series
-	for _, name := range order {
-		qs = append(qs, series(name, res[name], qualityOf))
-		es = append(es, series(name, res[name], energyOf))
-	}
-	qualityFig = plot.Figure{Title: "Fig 12: speed scaling (a) quality",
-		XLabel: "arrival rate (req/s)", YLabel: "service quality", Series: qs}
-	energyFig = plot.Figure{Title: "Fig 12: speed scaling (b) energy",
-		XLabel: "arrival rate (req/s)", YLabel: "energy (J)", Series: es}
-	return qualityFig, energyFig, nil
+	return two(s.sweep(false, []line{ge("Continuous Speed", s.Base), ge("Discrete Speed", discrete)},
+		qualityPanel("Fig 12: speed scaling (a) quality"),
+		energyPanel("Fig 12: speed scaling (b) energy")))
 }
 
 // HeadlineSaving extracts the paper's headline metric from a Fig. 3 sweep:
