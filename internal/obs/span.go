@@ -372,11 +372,18 @@ type wireSpan struct {
 }
 
 // ReadSpans parses a SpanLog stream back into spans (for merging the
-// per-process logs of a fleet into one trace). Blank lines are skipped.
+// per-process logs of a fleet into one trace). Blank lines are skipped, and
+// so is a last line that has no newline and is not JSON: the torn tail a
+// killed process leaves.
 func ReadSpans(r io.Reader) ([]Span, error) {
 	var spans []Span
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	torn := false // the token just scanned ended the stream without a newline
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		torn = atEOF && bytes.IndexByte(data, '\n') < 0
+		return bufio.ScanLines(data, atEOF)
+	})
 	line := 0
 	for sc.Scan() {
 		line++
@@ -386,6 +393,9 @@ func ReadSpans(r io.Reader) ([]Span, error) {
 		}
 		var w wireSpan
 		if err := json.Unmarshal(raw, &w); err != nil {
+			if torn {
+				break
+			}
 			return nil, fmt.Errorf("obs: span log line %d: %w", line, err)
 		}
 		tr, err := strconv.ParseUint(w.Trace, 16, 64)

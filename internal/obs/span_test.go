@@ -180,6 +180,30 @@ func TestReadSpansRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadSpansSkipsTornTail: a process killed mid-write leaves a last line
+// without its newline; the whole spans before it still merge.
+func TestReadSpansSkipsTornTail(t *testing.T) {
+	var buf bytes.Buffer
+	log := NewSpanLog(&buf)
+	bus := NewSpanBusSeeded(3, log)
+	bus.SetClock(testClock(10_000, 1_000))
+	for _, name := range []string{"a", "b", "c"} {
+		bus.Finish(bus.Start(name, SpanServer, SpanContext{}))
+	}
+	if err := log.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	torn := buf.Bytes()[:buf.Len()-20]
+	spans, err := ReadSpans(bytes.NewReader(torn))
+	if err != nil || len(spans) != 2 || spans[0].Name != "a" || spans[1].Name != "b" {
+		t.Fatalf("torn log: %v, %+v; want spans a and b and no error", err, spans)
+	}
+	// The same bad line with its newline is garbage, not a torn tail.
+	if _, err := ReadSpans(bytes.NewReader(append(torn, '\n'))); err == nil {
+		t.Error("newline-terminated bad line accepted")
+	}
+}
+
 func TestWriteSpanTraceConnectedTree(t *testing.T) {
 	var logBuf bytes.Buffer
 	log := NewSpanLog(&logBuf)
