@@ -44,6 +44,19 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestSpecErrorPrefixedOnce: Validate and New each name the package once,
+// so gechaos does not print "chaos: spec 1: chaos: ...".
+func TestSpecErrorPrefixedOnce(t *testing.T) {
+	bad := Spec{At: 1, Kind: Latency}
+	if err := bad.Validate(); err == nil || err.Error() != "chaos: latency delay 0 must be finite and positive" {
+		t.Errorf("Validate = %v", err)
+	}
+	_, err := New([]Spec{{At: 0, Kind: Blackhole}, bad})
+	if err == nil || err.Error() != "chaos: spec 1: latency delay 0 must be finite and positive" {
+		t.Errorf("New = %v", err)
+	}
+}
+
 func TestScheduleOrderingAndActiveAt(t *testing.T) {
 	s, err := New([]Spec{
 		{At: 5, Kind: Reset, Duration: 1},

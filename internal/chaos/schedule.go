@@ -99,28 +99,37 @@ type Spec struct {
 
 // Validate reports whether the spec is well-formed.
 func (s Spec) Validate() error {
+	if err := s.check(); err != nil {
+		return fmt.Errorf("chaos: %w", err)
+	}
+	return nil
+}
+
+// check is Validate without the "chaos:" prefix, which New words with the
+// spec's index.
+func (s Spec) check() error {
 	if math.IsNaN(s.At) || math.IsInf(s.At, 0) || s.At < 0 {
-		return fmt.Errorf("chaos: onset time %v must be finite and non-negative", s.At)
+		return fmt.Errorf("onset time %v must be finite and non-negative", s.At)
 	}
 	if math.IsNaN(s.Duration) || math.IsInf(s.Duration, 0) || s.Duration < 0 {
-		return fmt.Errorf("chaos: duration %v must be finite and non-negative", s.Duration)
+		return fmt.Errorf("duration %v must be finite and non-negative", s.Duration)
 	}
 	switch s.Kind {
 	case Latency:
 		if math.IsNaN(s.Delay) || math.IsInf(s.Delay, 0) || s.Delay <= 0 {
-			return fmt.Errorf("chaos: latency delay %v must be finite and positive", s.Delay)
+			return fmt.Errorf("latency delay %v must be finite and positive", s.Delay)
 		}
 		if math.IsNaN(s.Jitter) || math.IsInf(s.Jitter, 0) || s.Jitter < 0 || s.Jitter > s.Delay {
-			return fmt.Errorf("chaos: jitter %v must be in [0, delay]", s.Jitter)
+			return fmt.Errorf("jitter %v must be in [0, delay]", s.Jitter)
 		}
 	case Blackhole, Reset:
 		// No payload.
 	case HTTPError:
 		if s.Code != 0 && (s.Code < 500 || s.Code > 599) {
-			return fmt.Errorf("chaos: http-error code %d must be a 5xx", s.Code)
+			return fmt.Errorf("http-error code %d must be a 5xx", s.Code)
 		}
 	default:
-		return fmt.Errorf("chaos: unknown kind %d", int(s.Kind))
+		return fmt.Errorf("unknown kind %d", int(s.Kind))
 	}
 	return nil
 }
@@ -142,7 +151,7 @@ type Schedule struct {
 func New(specs []Spec) (*Schedule, error) {
 	out := make([]Spec, 0, len(specs))
 	for i, s := range specs {
-		if err := s.Validate(); err != nil {
+		if err := s.check(); err != nil {
 			return nil, fmt.Errorf("chaos: spec %d: %w", i, err)
 		}
 		out = append(out, s)
