@@ -48,7 +48,8 @@ type replica struct {
 	// Rejoin slow-start: a replica that comes back from an outage re-enters
 	// the pick order at a ramped admission weight instead of full strength,
 	// so a restart under overload cannot trigger a thundering herd onto a
-	// cold process. rampSteps/rampStep are fixed at construction.
+	// cold process. rampSteps (>= 1) and rampStep (> 0, as Config's
+	// defaults guarantee) are fixed at construction.
 	//
 	// downSince is the unix-nano time the replica was first observed down
 	// (breaker opened or an active probe failed); 0 = up. rampStart is the
@@ -92,15 +93,13 @@ func (r *replica) markDown(now time.Time) {
 // half-open trial, or an active probe succeeded again). Returns the outage
 // duration and true exactly once per outage, so callers can emit the
 // rejoin event and recovery-time histogram sample without double counting.
-// With rampSteps > 0 the slow-start ramp begins here.
+// The slow-start ramp begins here.
 func (r *replica) rejoin(now time.Time) (time.Duration, bool) {
 	down := r.downSince.Swap(0)
 	if down == 0 {
 		return 0, false
 	}
-	if r.rampSteps > 0 {
-		r.rampStart.Store(now.UnixNano())
-	}
+	r.rampStart.Store(now.UnixNano())
 	return time.Duration(now.UnixNano() - down), true
 }
 
@@ -116,10 +115,7 @@ func (r *replica) slowStart(now time.Time) (weight float64, limit int64, done bo
 	if start == 0 {
 		return 1, math.MaxInt64, false
 	}
-	var step int64
-	if r.rampStep > 0 {
-		step = int64(now.UnixNano()-start) / int64(r.rampStep)
-	}
+	step := int64(now.UnixNano()-start) / int64(r.rampStep)
 	if step >= int64(r.rampSteps) {
 		// Ramp complete; the CAS loses harmlessly if markDown reset it.
 		return 1, math.MaxInt64, r.rampStart.CompareAndSwap(start, 0)
@@ -135,10 +131,7 @@ func (r *replica) weightNow(now time.Time) float64 {
 	if start == 0 {
 		return 1
 	}
-	var step int64
-	if r.rampStep > 0 {
-		step = int64(now.UnixNano()-start) / int64(r.rampStep)
-	}
+	step := int64(now.UnixNano()-start) / int64(r.rampStep)
 	if step >= int64(r.rampSteps) {
 		return 1
 	}

@@ -27,8 +27,8 @@ func TestSlowStartRampSchedule(t *testing.T) {
 	}
 
 	r.markDown(t0)
-	if _, ok := r.rejoin(t0.Add(2 * time.Second)); !ok {
-		t.Fatal("rejoin after markDown reported no outage")
+	if d, ok := r.rejoin(t0.Add(2 * time.Second)); !ok || d != 2*time.Second {
+		t.Fatalf("rejoin after markDown = (%v, %v), want (2s, true)", d, ok)
 	}
 	if d, ok := r.rejoin(t0.Add(3 * time.Second)); ok {
 		t.Fatalf("second rejoin double-counted the outage (%v)", d)
@@ -76,23 +76,6 @@ func TestSlowStartRampSchedule(t *testing.T) {
 	r.markDown(mid)
 	if w := r.weightNow(mid); w != 1 {
 		t.Fatalf("weight after relapse = %v, want 1 (ramp cancelled, replica is down)", w)
-	}
-}
-
-// TestSlowStartDisabled: rampSteps == 0 tracks outages (for the histogram)
-// but never reduces weight.
-func TestSlowStartDisabled(t *testing.T) {
-	r, err := newReplica(0, "http://127.0.0.1:1", 3, time.Second, 0, 100*time.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Unix(100, 0)
-	r.markDown(t0)
-	if d, ok := r.rejoin(t0.Add(time.Second)); !ok || d != time.Second {
-		t.Fatalf("rejoin = (%v, %v), want (1s, true)", d, ok)
-	}
-	if w, limit, _ := r.slowStart(t0.Add(time.Second)); w != 1 || limit != math.MaxInt64 {
-		t.Fatalf("disabled slow-start = (%v, %d), want full weight", w, limit)
 	}
 }
 
