@@ -19,15 +19,15 @@ func BenchmarkKernelScheduleDeliver(b *testing.B) {
 	t := 1.0
 	for i := 0; i < depth; i++ {
 		t += 0.25
-		if _, err := eng.Schedule(t, KindUser); err != nil {
+		if _, err := eng.Schedule(t, KindArrival); err != nil {
 			b.Fatal(err)
 		}
 	}
 	// Warm one full cycle so free-list/slab growth is outside the timer.
 	for i := 0; i < depth; i++ {
 		t += 0.25
-		eng.Schedule(t, KindUser)
-		if _, err := eng.Step(); err != nil {
+		eng.Schedule(t, KindArrival)
+		if _, err := step(eng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -36,8 +36,8 @@ func BenchmarkKernelScheduleDeliver(b *testing.B) {
 	start := eng.Processed
 	for i := 0; i < b.N; i++ {
 		t += 0.25
-		eng.Schedule(t, KindUser)
-		if _, err := eng.Step(); err != nil {
+		eng.Schedule(t, KindArrival)
+		if _, err := step(eng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,12 +55,12 @@ func BenchmarkKernelChurn(b *testing.B) {
 		for i := 0; i < batch; i++ {
 			// Deterministic jitter so heap paths vary but runs compare.
 			t += float64((i*37)%11) * 0.01
-			if _, err := eng.Schedule(t+float64((i*53)%17)*0.1, KindUser); err != nil {
+			if _, err := eng.Schedule(t+float64((i*53)%17)*0.1, KindArrival); err != nil {
 				b.Fatal(err)
 			}
 		}
 		for eng.Pending() > 0 {
-			if _, err := eng.Step(); err != nil {
+			if _, err := step(eng); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -91,7 +91,7 @@ func BenchmarkKernelCancel(b *testing.B) {
 			if pending[c] != 0 {
 				eng.Cancel(pending[c])
 			}
-			id, err := eng.ScheduleCore(t+1+float64(c)*0.01, KindCoreIdle, c)
+			id, err := eng.ScheduleCoreRef(t+1+float64(c)*0.01, KindCoreIdle, c, -1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func BenchmarkKernelCancel(b *testing.B) {
 		}
 		t += 0.5
 		eng.Schedule(t, KindQuantum)
-		if _, err := eng.Step(); err != nil { // deliver the quantum tick
+		if _, err := step(eng); err != nil { // deliver the quantum tick
 			b.Fatal(err)
 		}
 	}

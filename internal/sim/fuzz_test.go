@@ -87,7 +87,7 @@ func newKernelHarness(t *testing.T) *kernelHarness {
 }
 
 // schedule adds one event to both sides. A negative priority argument means
-// "use the kind default", matching Schedule/ScheduleCore.
+// "use the kind default", matching Schedule/ScheduleCoreRef.
 func (h *kernelHarness) schedule(dt float64, kind Kind, core, priority int) {
 	t := h.eng.Now() + dt
 	var id EventID
@@ -96,7 +96,7 @@ func (h *kernelHarness) schedule(dt float64, kind Kind, core, priority int) {
 	if priority < 0 {
 		prio = int(kind)
 		if core >= 0 {
-			id, err = h.eng.ScheduleCore(t, kind, core)
+			id, err = h.eng.ScheduleCoreRef(t, kind, core, -1)
 		} else {
 			core = -1 // plain Schedule carries no core payload
 			id, err = h.eng.Schedule(t, kind)
@@ -241,11 +241,9 @@ func (h *kernelHarness) step() {
 	}
 	want := heap.Pop(&h.ref).(*refEvent)
 	h.gotEvent = false
-	more, err := h.eng.Step()
-	if err != nil {
-		h.t.Fatalf("Step: %v", err)
+	if _, err := step(h.eng); err != nil {
+		h.t.Fatalf("step: %v", err)
 	}
-	_ = more
 	if !h.gotEvent {
 		h.t.Fatalf("reference delivers (t=%v kind=%v) but engine delivered nothing", want.time, want.kind)
 	}
@@ -286,7 +284,7 @@ func (h *kernelHarness) liveCount() int {
 // and now and then try a dead handle or a time before now.
 func runKernelProgram(t *testing.T, data []byte) {
 	h := newKernelHarness(t)
-	kinds := []Kind{KindArrival, KindDeadline, KindCoreIdle, KindQuantum, KindUser}
+	kinds := []Kind{KindArrival, KindDeadline, KindCoreIdle, KindQuantum, KindFault}
 	i := 0
 	next := func() byte {
 		if i >= len(data) {

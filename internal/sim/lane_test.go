@@ -108,7 +108,7 @@ func TestPostNaNPanics(t *testing.T) {
 	NewEngine(func(*Event) error { return nil }).Post(math.NaN(), KindArrival, -1, -1)
 }
 
-// TestLaneVisibleToQueueAPI: Pending, PeekTime, Step, RunUntil and Run all
+// TestLaneVisibleToQueueAPI: Pending, PeekTime, step, RunUntil and Run all
 // see lane events, which count in Processed and carry their payload.
 func TestLaneVisibleToQueueAPI(t *testing.T) {
 	var last Event
@@ -124,13 +124,13 @@ func TestLaneVisibleToQueueAPI(t *testing.T) {
 	if eng.Pending() != 5 || eng.PeekTime() != 1 {
 		t.Fatalf("Pending %d PeekTime %v, want 5 and 1", eng.Pending(), eng.PeekTime())
 	}
-	eng.Schedule(2.5, KindUser)
+	eng.Schedule(2.5, KindQuantum)
 	if eng.Pending() != 6 {
 		t.Fatalf("Pending = %d, want 6", eng.Pending())
 	}
-	ok, err := eng.Step()
+	ok, err := step(eng)
 	if !ok || err != nil || last.Time != 1 || last.Kind != KindArrival || last.Core != 10 || last.Ref != 0 {
-		t.Fatalf("Step = %v, %v delivering %+v, want the lane event at 1", ok, err, last)
+		t.Fatalf("step = %v, %v delivering %+v, want the lane event at 1", ok, err, last)
 	}
 	if err := eng.RunUntil(3); err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestLaneVisibleToQueueAPI(t *testing.T) {
 		t.Fatalf("after RunUntil(3): now %v processed %d pending %d peek %v, want 2.5 3 3 3",
 			eng.Now(), eng.Processed, eng.Pending(), eng.PeekTime())
 	}
-	eng.Schedule(3.5, KindUser)
+	eng.Schedule(3.5, KindQuantum)
 	if eng.PeekTime() != 3 {
 		t.Fatalf("PeekTime = %v, want the lane head at 3", eng.PeekTime())
 	}
@@ -150,23 +150,8 @@ func TestLaneVisibleToQueueAPI(t *testing.T) {
 		t.Fatalf("after Run: now %v processed %d pending %d peek %v", eng.Now(), eng.Processed,
 			eng.Pending(), eng.PeekTime())
 	}
-	if ok, err := eng.Step(); ok || err != nil {
-		t.Fatalf("Step on an empty queue = %v, %v", ok, err)
-	}
-}
-
-// TestLaneHorizonStopsRun: Run's horizon applies to lane events too.
-func TestLaneHorizonStopsRun(t *testing.T) {
-	eng, got := laneRecorder()
-	eng.Horizon = 5
-	eng.Post(1, KindArrival, -1, 1)
-	eng.Post(10, KindArrival, -1, 2)
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	wantRefs(t, *got, 1)
-	if eng.Now() != 5 {
-		t.Fatalf("clock = %v, want horizon 5", eng.Now())
+	if ok, err := step(eng); ok || err != nil {
+		t.Fatalf("step on an empty queue = %v, %v", ok, err)
 	}
 }
 

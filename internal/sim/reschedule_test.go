@@ -88,7 +88,7 @@ func TestRescheduleStaleHandleChangesNothing(t *testing.T) {
 	var got []int
 	e := collect(&got)
 	delivered := mustSchedule(t, e, 1, 0)
-	if _, err := e.Step(); err != nil {
+	if _, err := step(e); err != nil {
 		t.Fatal(err)
 	}
 	cancelled := mustSchedule(t, e, 3, 1) // reuses the delivered event's slot
@@ -131,7 +131,7 @@ func TestReschedulePreservesCountsAndHandle(t *testing.T) {
 	if _, err := e.Schedule(1, KindQuantum); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Step(); err != nil {
+	if _, err := step(e); err != nil {
 		t.Fatal(err)
 	}
 	pending, processed := e.Pending(), e.Processed
@@ -162,7 +162,7 @@ func TestRescheduleBeforeNowIsError(t *testing.T) {
 	e := collect(&got)
 	mustSchedule(t, e, 3, 0)
 	id := mustSchedule(t, e, 8, 1)
-	if _, err := e.Step(); err != nil {
+	if _, err := step(e); err != nil {
 		t.Fatal(err)
 	}
 	if ok, err := e.Reschedule(id, 2); ok || err == nil {

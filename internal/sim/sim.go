@@ -38,14 +38,11 @@ const (
 	// -1 for a single machine), so waiting jobs expire on time; a fleet
 	// dispatcher arms one per job parked with no machine eligible.
 	KindDeadline
-	// KindEnd terminates the simulation.
-	KindEnd
-	// KindUser is available for scheduler-specific events.
-	KindUser
 	// KindFault fires on a scheduled fault transition (internal/faults):
 	// core or machine scope, onset or recovery. Ref indexes the owner's
-	// fault table.
-	KindFault
+	// fault table. Its ordinal is pinned at 6: it is the event's default
+	// priority, and obs.EventKernel records it in the event streams.
+	KindFault Kind = 6
 )
 
 // String implements fmt.Stringer.
@@ -59,10 +56,6 @@ func (k Kind) String() string {
 		return "core-idle"
 	case KindDeadline:
 		return "deadline"
-	case KindEnd:
-		return "end"
-	case KindUser:
-		return "user"
 	case KindFault:
 		return "fault"
 	default:
@@ -144,9 +137,6 @@ type Engine struct {
 
 	// Processed counts delivered events (diagnostics).
 	Processed int64
-	// Horizon, when positive, hard-stops the run at that time even if
-	// events remain (safety net against runaway schedules).
-	Horizon float64
 
 	// obs, when set, receives one EventKernel per delivered event —
 	// the lowest layer of the observability bus. Nil costs one branch.
@@ -170,7 +160,7 @@ const ctxStride = 64
 func (e *Engine) SetObserver(o obs.Observer) { e.obs = o }
 
 // SetContext attaches a cancellation context to the run loop. When ctx is
-// cancelled (or its deadline passes), Run and Step stop delivering events
+// cancelled (or its deadline passes), Run stops delivering events
 // and return ctx.Err(); the clock stays at the last delivered event, so the
 // caller can still read a consistent partial state. Pass nil to detach.
 // Call before Run.
@@ -324,11 +314,6 @@ func (e *Engine) pop() int32 {
 // scheduled in the past, which would silently corrupt causality.
 func (e *Engine) Schedule(t float64, kind Kind) (EventID, error) {
 	return e.schedule(t, kind, noEvent, noEvent, int(kind))
-}
-
-// ScheduleCore is Schedule carrying a core index payload (KindCoreIdle).
-func (e *Engine) ScheduleCore(t float64, kind Kind, core int) (EventID, error) {
-	return e.schedule(t, kind, core, noEvent, int(kind))
 }
 
 // ScheduleCoreRef is Schedule carrying both payload fields: a core index and
@@ -496,26 +481,22 @@ func (e *Engine) Reschedule(id EventID, t float64) (bool, error) {
 }
 
 // deliver takes the next event into e.cur and hands it to the handler.
-// Returns (stop, err).
-func (e *Engine) deliver() (bool, error) {
+func (e *Engine) deliver() error {
 	e.take()
 	ev := &e.cur
 	if ev.Time < e.now {
-		return true, fmt.Errorf("sim: time went backwards: %v -> %v", e.now, ev.Time)
+		return fmt.Errorf("sim: time went backwards: %v -> %v", e.now, ev.Time)
 	}
 	e.now = ev.Time
 	e.Processed++
 	e.observe(ev.Time, ev.Kind)
-	if err := e.handler(ev); err != nil {
-		return true, err
-	}
-	return ev.Kind == KindEnd, nil
+	return e.handler(ev)
 }
 
-// Run delivers events in order until the queue empties, a KindEnd event is
-// delivered, the optional horizon passes, the handler errors, or the
-// attached context (SetContext) is cancelled — the last case returns
-// ctx.Err() so callers can distinguish cancellation from simulation faults.
+// Run delivers events in order until the queue empties, the handler
+// errors, or the attached context (SetContext) is cancelled — the last case
+// returns ctx.Err() so callers can distinguish cancellation from
+// simulation faults.
 func (e *Engine) Run() error {
 	if err := e.interrupted(); err != nil {
 		return err
@@ -526,17 +507,8 @@ func (e *Engine) Run() error {
 				return err
 			}
 		}
-		if e.Horizon > 0 && e.PeekTime() > e.Horizon {
-			e.take()
-			e.now = e.Horizon
-			return nil
-		}
-		stop, err := e.deliver()
-		if err != nil {
+		if err := e.deliver(); err != nil {
 			return err
-		}
-		if stop {
-			return nil
 		}
 	}
 	return nil
@@ -547,35 +519,15 @@ func (e *Engine) Run() error {
 // delivered event — never to limit itself — so a subsequent Schedule at
 // exactly limit remains legal. Sharded simulations use this as the barrier
 // primitive: each shard's private engine drains up to the barrier time chosen
-// by a global coordinator, then parks. Horizon and the attached context are
-// not consulted (shard engines are bounded by their callers, not by
-// wall-clock safety nets); KindEnd stops delivery as in Run.
+// by a global coordinator, then parks. The attached context is not consulted:
+// shard engines are bounded by their callers.
 func (e *Engine) RunUntil(limit float64) error {
 	for e.PeekTime() < limit {
-		stop, err := e.deliver()
-		if err != nil {
+		if err := e.deliver(); err != nil {
 			return err
-		}
-		if stop {
-			return nil
 		}
 	}
 	return nil
-}
-
-// Step delivers exactly one event, returning false when the queue is empty.
-// Used by tests that need to observe intermediate state.
-func (e *Engine) Step() (bool, error) {
-	if err := e.interrupted(); err != nil {
-		return false, err
-	}
-	if e.Pending() == 0 {
-		return false, nil
-	}
-	if _, err := e.deliver(); err != nil {
-		return false, err
-	}
-	return true, nil
 }
 
 // PeekTime returns the timestamp of the next pending event, on the heap or

@@ -17,7 +17,7 @@ func TestEventOrdering(t *testing.T) {
 	})
 	times := []float64{0.5, 0.1, 0.9, 0.3, 0.3, 0.0}
 	for _, tm := range times {
-		if _, err := eng.Schedule(tm, KindUser); err != nil {
+		if _, err := eng.Schedule(tm, KindArrival); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -37,19 +37,19 @@ func TestEventOrdering(t *testing.T) {
 
 func TestSimultaneousPriority(t *testing.T) {
 	// At the same timestamp, arrivals (kind 0) must precede quantum ticks
-	// (kind 1) which precede end (kind 4).
+	// (kind 1) which precede faults (kind 6).
 	var got []Kind
 	eng := NewEngine(func(e *Event) error {
 		got = append(got, e.Kind)
 		return nil
 	})
-	eng.Schedule(1.0, KindEnd)
+	eng.Schedule(1.0, KindFault)
 	eng.Schedule(1.0, KindQuantum)
 	eng.Schedule(1.0, KindArrival)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []Kind{KindArrival, KindQuantum, KindEnd}
+	want := []Kind{KindArrival, KindQuantum, KindFault}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("delivery order %v, want %v", got, want)
@@ -66,7 +66,7 @@ func TestSimultaneousSeqStable(t *testing.T) {
 		return nil
 	})
 	for i := 0; i < 10; i++ {
-		eng.ScheduleCore(2.0, KindUser, i)
+		eng.ScheduleCoreRef(2.0, KindArrival, i, -1)
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -81,12 +81,12 @@ func TestSimultaneousSeqStable(t *testing.T) {
 func TestScheduleInPastRejected(t *testing.T) {
 	var eng *Engine
 	eng = NewEngine(func(e *Event) error {
-		if _, err := eng.Schedule(e.Time-0.5, KindUser); err == nil {
+		if _, err := eng.Schedule(e.Time-0.5, KindArrival); err == nil {
 			return errors.New("past event accepted")
 		}
 		return nil
 	})
-	eng.Schedule(1.0, KindUser)
+	eng.Schedule(1.0, KindArrival)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,53 +98,14 @@ func TestScheduleNaNPanics(t *testing.T) {
 			t.Fatal("NaN time did not panic")
 		}
 	}()
-	NewEngine(func(*Event) error { return nil }).Schedule(math.NaN(), KindUser)
-}
-
-func TestEndStopsRun(t *testing.T) {
-	delivered := 0
-	eng := NewEngine(func(e *Event) error {
-		delivered++
-		return nil
-	})
-	eng.Schedule(1.0, KindEnd)
-	eng.Schedule(2.0, KindUser) // must never be delivered
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if delivered != 1 {
-		t.Fatalf("delivered %d events after end, want 1", delivered)
-	}
-	if eng.Now() != 1.0 {
-		t.Fatalf("clock = %v, want 1.0", eng.Now())
-	}
-}
-
-func TestHorizonStopsRun(t *testing.T) {
-	delivered := 0
-	eng := NewEngine(func(e *Event) error {
-		delivered++
-		return nil
-	})
-	eng.Horizon = 5
-	eng.Schedule(1, KindUser)
-	eng.Schedule(10, KindUser)
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if delivered != 1 {
-		t.Fatalf("delivered %d, want 1 (horizon)", delivered)
-	}
-	if eng.Now() != 5 {
-		t.Fatalf("clock = %v, want horizon 5", eng.Now())
-	}
+	NewEngine(func(*Event) error { return nil }).Schedule(math.NaN(), KindArrival)
 }
 
 func TestHandlerErrorAborts(t *testing.T) {
 	boom := errors.New("boom")
 	eng := NewEngine(func(e *Event) error { return boom })
-	eng.Schedule(1, KindUser)
-	eng.Schedule(2, KindUser)
+	eng.Schedule(1, KindArrival)
+	eng.Schedule(2, KindArrival)
 	if err := eng.Run(); !errors.Is(err, boom) {
 		t.Fatalf("Run error = %v, want boom", err)
 	}
@@ -159,9 +120,9 @@ func TestCancel(t *testing.T) {
 		got = append(got, e.Core)
 		return nil
 	})
-	ev1, _ := eng.ScheduleCore(1, KindUser, 1)
-	eng.ScheduleCore(2, KindUser, 2)
-	ev3, _ := eng.ScheduleCore(3, KindUser, 3)
+	ev1, _ := eng.ScheduleCoreRef(1, KindArrival, 1, -1)
+	eng.ScheduleCoreRef(2, KindArrival, 2, -1)
+	ev3, _ := eng.ScheduleCoreRef(3, KindArrival, 3, -1)
 	if !eng.Cancel(ev1) {
 		t.Fatal("cancel of pending event failed")
 	}
@@ -184,7 +145,7 @@ func TestCancel(t *testing.T) {
 
 func TestCancelAfterDelivery(t *testing.T) {
 	eng := NewEngine(func(e *Event) error { return nil })
-	id, _ := eng.Schedule(1, KindUser)
+	id, _ := eng.Schedule(1, KindArrival)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +158,11 @@ func TestCancelStaleHandleAfterSlotReuse(t *testing.T) {
 	// A handle must stay dead even after its slab slot is recycled for a
 	// new event — the generation counter is what prevents the ABA cancel.
 	eng := NewEngine(func(e *Event) error { return nil })
-	old, _ := eng.Schedule(1, KindUser)
+	old, _ := eng.Schedule(1, KindArrival)
 	if err := eng.Run(); err != nil { // delivers and frees the slot
 		t.Fatal(err)
 	}
-	fresh, _ := eng.Schedule(2, KindUser) // reuses the freed slot
+	fresh, _ := eng.Schedule(2, KindArrival) // reuses the freed slot
 	if eng.Cancel(old) {
 		t.Fatal("stale handle cancelled a recycled slot")
 	}
@@ -213,15 +174,24 @@ func TestCancelStaleHandleAfterSlotReuse(t *testing.T) {
 	}
 }
 
+// step delivers the next event, reporting false on an empty queue: how the
+// tests observe the engine between deliveries.
+func step(e *Engine) (bool, error) {
+	if e.Pending() == 0 {
+		return false, nil
+	}
+	return true, e.deliver()
+}
+
 func TestStep(t *testing.T) {
 	count := 0
 	eng := NewEngine(func(e *Event) error {
 		count++
 		return nil
 	})
-	eng.Schedule(1, KindUser)
-	eng.Schedule(2, KindUser)
-	ok, err := eng.Step()
+	eng.Schedule(1, KindArrival)
+	eng.Schedule(2, KindArrival)
+	ok, err := step(eng)
 	if err != nil || !ok {
 		t.Fatalf("step 1: ok=%v err=%v", ok, err)
 	}
@@ -231,8 +201,8 @@ func TestStep(t *testing.T) {
 	if eng.PeekTime() != 2 {
 		t.Fatalf("peek = %v, want 2", eng.PeekTime())
 	}
-	eng.Step()
-	ok, err = eng.Step()
+	step(eng)
+	ok, err = step(eng)
 	if err != nil || ok {
 		t.Fatalf("step on empty queue: ok=%v err=%v", ok, err)
 	}
@@ -249,13 +219,13 @@ func TestReentrantScheduling(t *testing.T) {
 	eng = NewEngine(func(e *Event) error {
 		got = append(got, e.Time)
 		if e.Time < 0.5 {
-			if _, err := eng.Schedule(e.Time+0.1, KindUser); err != nil {
+			if _, err := eng.Schedule(e.Time+0.1, KindArrival); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	eng.Schedule(0.1, KindUser)
+	eng.Schedule(0.1, KindArrival)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +240,7 @@ func TestReentrantScheduling(t *testing.T) {
 func TestKindString(t *testing.T) {
 	want := map[Kind]string{
 		KindArrival: "arrival", KindQuantum: "quantum", KindCoreIdle: "core-idle",
-		KindDeadline: "deadline", KindEnd: "end", KindUser: "user", Kind(99): "kind(99)",
+		KindDeadline: "deadline", KindFault: "fault", Kind(99): "kind(99)",
 	}
 	for k, s := range want {
 		if k.String() != s {
@@ -288,7 +258,7 @@ func TestOrderingProperty(t *testing.T) {
 			return nil
 		})
 		for _, r := range raw {
-			eng.Schedule(float64(r)/100, KindUser)
+			eng.Schedule(float64(r)/100, KindArrival)
 		}
 		if err := eng.Run(); err != nil {
 			return false
@@ -304,7 +274,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := NewEngine(func(e *Event) error { return nil })
 		for k := 0; k < 1000; k++ {
-			eng.Schedule(float64(k%97), KindUser)
+			eng.Schedule(float64(k%97), KindArrival)
 		}
 		if err := eng.Run(); err != nil {
 			b.Fatal(err)
@@ -314,14 +284,14 @@ func BenchmarkScheduleRun(b *testing.B) {
 
 func TestStepTimeBackwardsGuard(t *testing.T) {
 	// Manually corrupting the queue ordering is not possible through the
-	// public API, so exercise Step's normal paths instead: deliver two
+	// public API, so exercise delivery's normal paths instead: deliver two
 	// events stepwise and confirm clock monotonicity.
 	eng := NewEngine(func(e *Event) error { return nil })
-	eng.Schedule(1, KindUser)
-	eng.Schedule(2, KindUser)
+	eng.Schedule(1, KindArrival)
+	eng.Schedule(2, KindArrival)
 	t1 := 0.0
 	for {
-		ok, err := eng.Step()
+		ok, err := step(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,9 +308,9 @@ func TestStepTimeBackwardsGuard(t *testing.T) {
 func TestStepHandlerError(t *testing.T) {
 	boom := errors.New("boom")
 	eng := NewEngine(func(e *Event) error { return boom })
-	eng.Schedule(1, KindUser)
-	if _, err := eng.Step(); !errors.Is(err, boom) {
-		t.Fatalf("Step error = %v", err)
+	eng.Schedule(1, KindArrival)
+	if _, err := step(eng); !errors.Is(err, boom) {
+		t.Fatalf("step error = %v", err)
 	}
 }
 
@@ -349,8 +319,8 @@ func TestPendingCount(t *testing.T) {
 	if eng.Pending() != 0 {
 		t.Fatal("fresh engine pending != 0")
 	}
-	eng.Schedule(1, KindUser)
-	eng.Schedule(2, KindUser)
+	eng.Schedule(1, KindArrival)
+	eng.Schedule(2, KindArrival)
 	if eng.Pending() != 2 {
 		t.Fatalf("pending = %d", eng.Pending())
 	}
