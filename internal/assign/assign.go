@@ -23,8 +23,6 @@ type Assigner interface {
 	// gives the current remaining work per core (indexed by core index,
 	// spanning the whole machine) for load-aware policies.
 	Assign(jobs []*job.Job, eligible []int, loads []float64)
-	// Name identifies the policy.
-	Name() string
 	// Reset clears any cross-cycle state (new simulation run).
 	Reset()
 }
@@ -41,9 +39,6 @@ func (RoundRobin) Assign(jobs []*job.Job, eligible []int, _ []float64) {
 		bind(j, eligible[i%len(eligible)])
 	}
 }
-
-// Name implements Assigner.
-func (RoundRobin) Name() string { return "rr" }
 
 // Reset implements Assigner.
 func (RoundRobin) Reset() {}
@@ -69,9 +64,6 @@ func (c *CumulativeRR) Assign(jobs []*job.Job, eligible []int, _ []float64) {
 		c.cursor = (c.cursor + 1) % len(eligible)
 	}
 }
-
-// Name implements Assigner.
-func (c *CumulativeRR) Name() string { return "c-rr" }
 
 // Reset implements Assigner.
 func (c *CumulativeRR) Reset() { c.cursor = 0 }
@@ -102,9 +94,6 @@ func (LeastLoaded) Assign(jobs []*job.Job, eligible []int, loads []float64) {
 		local[best] += j.Remaining()
 	}
 }
-
-// Name implements Assigner.
-func (LeastLoaded) Name() string { return "least-loaded" }
 
 // Reset implements Assigner.
 func (LeastLoaded) Reset() {}

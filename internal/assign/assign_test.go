@@ -127,10 +127,10 @@ func TestEligibleSubsetRoutesAroundFailedCores(t *testing.T) {
 		a.Assign(jobs, eligible, []float64{100, 0, 100})
 		for i, j := range jobs {
 			if j.Core == 1 {
-				t.Fatalf("%s bound job %d to failed core 1", a.Name(), i)
+				t.Fatalf("%T bound job %d to failed core 1", a, i)
 			}
 			if j.Core != 0 && j.Core != 2 {
-				t.Fatalf("%s bound job %d to core %d outside eligible set", a.Name(), i, j.Core)
+				t.Fatalf("%T bound job %d to core %d outside eligible set", a, i, j.Core)
 			}
 		}
 	}
@@ -141,22 +141,10 @@ func TestZeroCoresPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: zero cores did not panic", a.Name())
+					t.Errorf("%T: zero cores did not panic", a)
 				}
 			}()
 			a.Assign(batch(1), nil, nil)
 		}()
-	}
-}
-
-func TestNames(t *testing.T) {
-	if (RoundRobin{}).Name() != "rr" {
-		t.Error("rr name")
-	}
-	if (&CumulativeRR{}).Name() != "c-rr" {
-		t.Error("c-rr name")
-	}
-	if (LeastLoaded{}).Name() != "least-loaded" {
-		t.Error("least-loaded name")
 	}
 }

@@ -57,11 +57,6 @@ type Options struct {
 	// SpeedCap, when positive, caps every core's speed in GHz (the BE-S
 	// speed-control baseline).
 	SpeedCap float64
-	// GlobalCut applies LF cutting jointly across all cores' jobs instead
-	// of per core. The paper describes the cutting algorithm globally
-	// (§III-B) but applies it per core in the pipeline (§III-E); per-core
-	// is the default, and this option quantifies the difference.
-	GlobalCut bool
 	// MonitorWindow, when positive, evaluates the compensation trigger
 	// over roughly the last MonitorWindow seconds of finalized quality
 	// mass instead of the cumulative average (extension knob; the paper's
@@ -95,7 +90,6 @@ type GE struct {
 		loads    []float64
 		perCore  [][]*job.Job
 		queue    [][]*job.Job
-		all      []*job.Job
 		needs    []float64
 		peaks    []float64
 		free     []int
@@ -195,7 +189,7 @@ func (g *GE) Reset() {
 	// Drop the job-pointer-holding scratch so a finished run's jobs are not
 	// pinned across runs; the float buffers are harmless to keep.
 	sc := &g.scratch
-	sc.batch, sc.all, sc.perCore, sc.queue = nil, nil, nil, nil
+	sc.batch, sc.perCore, sc.queue = nil, nil, nil
 	sc.entries, sc.plan = nil, nil
 }
 
@@ -262,33 +256,17 @@ func (g *GE) Schedule(ctx *sched.Context) {
 	g.decideMode(ctx)
 	ctx.SetMode(g.inAES)
 
-	// 4. Cut (AES) or restore (BQ) — per core by default, or jointly over
-	// the whole machine with the GlobalCut option.
-	if g.opts.GlobalCut {
-		all := sc.all[:0]
-		for i := range perCore {
-			all = append(all, perCore[i]...)
+	// 4. Cut (AES) or restore (BQ), per core (§III-E).
+	for i := range perCore {
+		if len(perCore[i]) == 0 {
+			continue
 		}
-		sc.all = all
 		if g.inAES {
-			before := g.snapTargets(ctx, all)
-			sc.cutter.Cut(all, cfg.Quality, g.opts.Target)
-			emitCuts(ctx, now, all, before)
+			before := g.snapTargets(ctx, perCore[i])
+			sc.cutter.Cut(perCore[i], cfg.Quality, g.opts.Target)
+			emitCuts(ctx, now, perCore[i], before)
 		} else {
-			cut.Restore(all)
-		}
-	} else {
-		for i := range perCore {
-			if len(perCore[i]) == 0 {
-				continue
-			}
-			if g.inAES {
-				before := g.snapTargets(ctx, perCore[i])
-				sc.cutter.Cut(perCore[i], cfg.Quality, g.opts.Target)
-				emitCuts(ctx, now, perCore[i], before)
-			} else {
-				cut.Restore(perCore[i])
-			}
+			cut.Restore(perCore[i])
 		}
 	}
 

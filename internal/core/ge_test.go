@@ -375,33 +375,6 @@ func TestOQTargetClamped(t *testing.T) {
 // qualityExp builds the paper's quality function with the given concavity.
 func qualityExp(c float64) quality.Function { return quality.NewExponential(c, 1000) }
 
-func TestGlobalCutMatchesTargetToo(t *testing.T) {
-	p := New("GE-global", Options{
-		Target: 0.9, Compensation: true, Dist: dist.PolicyHybrid, GlobalCut: true,
-	})
-	res := run(t, sched.Defaults(), p, shortSpec(140, 30))
-	if res.Quality < 0.88 || res.Quality > 0.96 {
-		t.Fatalf("global-cut quality = %v, want ~0.9", res.Quality)
-	}
-}
-
-func TestGlobalCutVsPerCore(t *testing.T) {
-	// Global cutting sees the whole demand population, so its level is
-	// uniform across cores; per-core cutting adapts to each core's batch.
-	// Both must hold the target; energies should be within a few percent.
-	perCore := run(t, sched.Defaults(), NewGE(0.9), shortSpec(130, 31))
-	global := run(t, sched.Defaults(), New("GE-global", Options{
-		Target: 0.9, Compensation: true, Dist: dist.PolicyHybrid, GlobalCut: true,
-	}), shortSpec(130, 31))
-	if global.Quality < 0.88 {
-		t.Fatalf("global quality = %v", global.Quality)
-	}
-	ratio := global.Energy / perCore.Energy
-	if ratio < 0.85 || ratio > 1.15 {
-		t.Fatalf("global/per-core energy ratio = %v; expected close agreement", ratio)
-	}
-}
-
 func TestZeroTargetCutsEverything(t *testing.T) {
 	// Target 0 cuts every job to its floor: all jobs "complete" with zero
 	// work, quality collapses to ~0, and energy is near zero. This also
@@ -508,30 +481,16 @@ func refSchedule(g *GE, ctx *sched.Context) {
 	g.decideMode(ctx)
 	ctx.SetMode(g.inAES)
 
-	if g.opts.GlobalCut {
-		var all []*job.Job
-		for i := range perCore {
-			all = append(all, perCore[i]...)
+	for i := range perCore {
+		if len(perCore[i]) == 0 {
+			continue
 		}
 		if g.inAES {
-			before := g.snapTargets(ctx, all)
-			cut.LongestFirst(all, cfg.Quality, g.opts.Target)
-			emitCuts(ctx, now, all, before)
+			before := g.snapTargets(ctx, perCore[i])
+			cut.LongestFirst(perCore[i], cfg.Quality, g.opts.Target)
+			emitCuts(ctx, now, perCore[i], before)
 		} else {
-			cut.Restore(all)
-		}
-	} else {
-		for i := range perCore {
-			if len(perCore[i]) == 0 {
-				continue
-			}
-			if g.inAES {
-				before := g.snapTargets(ctx, perCore[i])
-				cut.LongestFirst(perCore[i], cfg.Quality, g.opts.Target)
-				emitCuts(ctx, now, perCore[i], before)
-			} else {
-				cut.Restore(perCore[i])
-			}
+			cut.Restore(perCore[i])
 		}
 	}
 
@@ -714,11 +673,11 @@ func newPlanMachine(seed int64) *planMachine {
 	case 4:
 		pm.g = NewBEP(cfg.PowerBudget * (0.2 + 0.8*rng.Float64()))
 	case 5:
-		pm.g = New("GE-global", Options{Target: 0.9, Compensation: true, Dist: dist.PolicyHybrid, GlobalCut: true})
+		pm.g = NewFixedDist(0.9, dist.PolicyES)
 	case 6:
 		pm.g = NewFixedDist(0.9, dist.PolicyWF)
 	default:
-		pm.g = New("GE-prop", Options{Target: 0.85, Dist: dist.PolicyProportional, SpeedCap: 2.5})
+		pm.g = New("GE-capped", Options{Target: 0.85, Dist: dist.PolicyWF, SpeedCap: 2.5})
 	}
 	var err error
 	if cfg.Heterogeneous() {

@@ -351,7 +351,7 @@ func TestQualityMatchesPerJobEvaluation(t *testing.T) {
 				achieved += f.Value(j.Target)
 			}
 			if want := achieved / fullQ; math.Float64bits(res.Quality) != math.Float64bits(want) {
-				t.Fatalf("%s trial %d: quality %v, per-job evaluation %v", f.Name(), trial, res.Quality, want)
+				t.Fatalf("%+v trial %d: quality %v, per-job evaluation %v", f, trial, res.Quality, want)
 			}
 		}
 	}
@@ -379,12 +379,12 @@ func TestStoredFDemandMatchesEvaluation(t *testing.T) {
 			want := LongestFirst(bare, f, qge)
 			got := LongestFirst(stored, f, qge)
 			if got != want {
-				t.Fatalf("%s trial %d: stored f(p) result %+v, evaluated %+v", f.Name(), trial, got, want)
+				t.Fatalf("%+v trial %d: stored f(p) result %+v, evaluated %+v", f, trial, got, want)
 			}
 			for i := range bare {
 				if math.Float64bits(stored[i].Target) != math.Float64bits(bare[i].Target) {
-					t.Fatalf("%s trial %d job %d: stored f(p) target %v, evaluated %v",
-						f.Name(), trial, i, stored[i].Target, bare[i].Target)
+					t.Fatalf("%+v trial %d job %d: stored f(p) target %v, evaluated %v",
+						f, trial, i, stored[i].Target, bare[i].Target)
 				}
 			}
 		}

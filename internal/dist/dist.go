@@ -153,8 +153,6 @@ const (
 	PolicyWF
 	// PolicyHybrid equal-shares under light load, water-fills otherwise.
 	PolicyHybrid
-	// PolicyProportional splits proportionally to demand (ablation).
-	PolicyProportional
 )
 
 // String implements fmt.Stringer.
@@ -166,36 +164,9 @@ func (p Policy) String() string {
 		return "water-filling"
 	case PolicyHybrid:
 		return "hybrid"
-	case PolicyProportional:
-		return "proportional"
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
-}
-
-// Proportional splits H proportionally to the demands. Zero total demand
-// falls back to equal sharing.
-func (f *Filler) Proportional(h float64, demands []float64) []float64 {
-	m := len(demands)
-	alloc := f.grow(m)
-	if m == 0 || h <= 0 {
-		return alloc
-	}
-	total := 0.0
-	for _, d := range demands {
-		if d > 0 {
-			total += d
-		}
-	}
-	if total <= 0 {
-		return f.EqualShare(h, m)
-	}
-	for i, d := range demands {
-		if d > 0 {
-			alloc[i] = h * d / total
-		}
-	}
-	return alloc
 }
 
 // Distribute applies the policy. `heavy` tells Hybrid which regime the
@@ -206,8 +177,6 @@ func (f *Filler) Distribute(p Policy, h float64, demands []float64, heavy bool) 
 		return f.EqualShare(h, len(demands))
 	case PolicyWF:
 		return f.WaterFill(h, demands)
-	case PolicyProportional:
-		return f.Proportional(h, demands)
 	case PolicyHybrid:
 		if heavy {
 			return f.WaterFill(h, demands)

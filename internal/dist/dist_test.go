@@ -100,18 +100,6 @@ func TestWaterFillFavorsLowDemands(t *testing.T) {
 	}
 }
 
-func TestProportional(t *testing.T) {
-	alloc := new(Filler).Proportional(100, []float64{10, 30})
-	if math.Abs(alloc[0]-25) > 1e-9 || math.Abs(alloc[1]-75) > 1e-9 {
-		t.Fatalf("proportional = %v", alloc)
-	}
-	// Zero demand falls back to ES.
-	alloc = new(Filler).Proportional(100, []float64{0, 0})
-	if math.Abs(alloc[0]-50) > 1e-9 {
-		t.Fatalf("zero-demand proportional = %v", alloc)
-	}
-}
-
 func TestDistributeHybridSwitch(t *testing.T) {
 	demands := []float64{10, 40, 40}
 	light := new(Filler).Distribute(PolicyHybrid, 60, demands, false)
@@ -134,9 +122,6 @@ func TestDistributeDispatch(t *testing.T) {
 	if a := new(Filler).Distribute(PolicyWF, 30, demands, false); math.Abs(a[0]-10) > 1e-9 || math.Abs(a[1]-20) > 1e-9 {
 		t.Fatalf("WF dispatch wrong: %v", a)
 	}
-	if a := new(Filler).Distribute(PolicyProportional, 30, demands, false); math.Abs(a[0]-10) > 1e-9 {
-		t.Fatalf("proportional dispatch wrong: %v", a)
-	}
 }
 
 func TestDistributeUnknownPanics(t *testing.T) {
@@ -151,8 +136,8 @@ func TestDistributeUnknownPanics(t *testing.T) {
 func TestPolicyString(t *testing.T) {
 	names := map[Policy]string{
 		PolicyES: "equal-sharing", PolicyWF: "water-filling",
-		PolicyHybrid: "hybrid", PolicyProportional: "proportional",
-		Policy(9): "policy(9)",
+		PolicyHybrid: "hybrid",
+		Policy(9):    "policy(9)",
 	}
 	for p, want := range names {
 		if p.String() != want {

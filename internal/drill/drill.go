@@ -29,8 +29,6 @@ type Config struct {
 	Rate float64
 	// Duration is the traffic horizon (default 12s).
 	Duration time.Duration
-	// Events is the fault schedule; empty generates one from Seed.
-	Events []Event
 	// GeservePath / GegatePath locate the binaries to boot.
 	GeservePath string
 	GegatePath  string
@@ -112,13 +110,7 @@ func Run(cfg Config) (*Report, error) {
 	} else if err := os.MkdirAll(cfg.WorkDir, 0o755); err != nil {
 		return nil, fmt.Errorf("drill: work dir: %w", err)
 	}
-	events := cfg.Events
-	var err error
-	if len(events) == 0 {
-		events, err = Generate(cfg.Seed, cfg.Replicas, cfg.Duration)
-	} else {
-		events, err = Validate(events, cfg.Replicas)
-	}
+	events, err := Generate(cfg.Seed, cfg.Replicas, cfg.Duration)
 	if err != nil {
 		return nil, err
 	}

@@ -369,8 +369,12 @@ func TestHeadlineSavingErrors(t *testing.T) {
 
 func TestDefaultLadder(t *testing.T) {
 	l := DefaultLadder()
-	if l.Len() != 16 || l.Max() != 3.2 {
-		t.Fatalf("ladder = %d levels, max %v", l.Len(), l.Max())
+	levels := 0
+	for s, ok := l.Up(0); ok && levels <= 16; s, ok = l.Up(s + 1e-9) {
+		levels++
+	}
+	if levels != 16 || l.Max() != 3.2 {
+		t.Fatalf("ladder = %d levels, max %v", levels, l.Max())
 	}
 }
 

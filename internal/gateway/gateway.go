@@ -95,11 +95,6 @@ type Config struct {
 	// RequestTimeout bounds one whole client request through the gateway,
 	// all attempts included (default 90s).
 	RequestTimeout time.Duration
-	// RetryAfter is the hint attached when the gateway itself sheds
-	// (no eligible replica; default 1s).
-	RetryAfter time.Duration
-	// MaxBodyBytes caps client request bodies (default 8 MiB).
-	MaxBodyBytes int64
 	// Transport overrides the upstream round tripper (tests).
 	Transport http.RoundTripper
 	// Spans, when non-nil, traces every proxied request: the client's
@@ -153,12 +148,6 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 90 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
 	if c.Transport == nil {
 		c.Transport = http.DefaultTransport
 	}
@@ -207,6 +196,12 @@ const (
 	cooldownCap = 15 * time.Second
 	// sampleInterval is the /timeseriez sampling period.
 	sampleInterval = time.Second
+	// retryAfter is the hint attached when the gateway itself sheds (no
+	// eligible replica), and caps how long a replica answering 503 is
+	// parked.
+	retryAfter = time.Second
+	// maxBodyBytes caps client request bodies.
+	maxBodyBytes = 8 << 20
 )
 
 // latencyBounds are the request-latency histogram buckets in seconds.
@@ -642,7 +637,7 @@ func (g *Gateway) doAttempt(ctx context.Context, rep *replica, path string, body
 		if resp.StatusCode == http.StatusServiceUnavailable {
 			// Draining replicas also send no Retry-After; park briefly so
 			// the picker stops hammering them while probes catch up.
-			rep.setCooldown(resp.Header.Get("Retry-After"), time.Now(), g.cfg.RetryAfter)
+			rep.setCooldown(resp.Header.Get("Retry-After"), time.Now(), retryAfter)
 		}
 	default:
 		rep.br.Success()
@@ -662,11 +657,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func (g *Gateway) shedNoReplica(w http.ResponseWriter) {
 	g.metrics.Inc("gw_no_replica_total")
 	g.metrics.Inc("gw_err_total")
-	secs := int64(g.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 	writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no healthy replica"})
 }
 
@@ -726,7 +717,7 @@ func (g *Gateway) serveProxy(w http.ResponseWriter, r *http.Request, path string
 	span.Context().Inject(w.Header())
 	defer g.spans.Finish(span)
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		g.metrics.Inc("gw_err_total")
 		span.SetNote("error")

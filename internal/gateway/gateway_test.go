@@ -154,8 +154,8 @@ func TestBreakerRecoversThroughHalfOpen(t *testing.T) {
 	// Breaker open: the gateway sheds instead of trying the replica.
 	if resp, body := postRun(t, front.URL); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("open breaker: status %d body %s, want 503", resp.StatusCode, body)
-	} else if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("gateway shed without a Retry-After hint")
+	} else if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("gateway shed with Retry-After %q, want the 1s hint", ra)
 	}
 
 	healthy.Store(true)

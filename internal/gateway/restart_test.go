@@ -158,7 +158,7 @@ func TestKillAndRestartMidRun(t *testing.T) {
 	if f := failures.Load(); f != 0 {
 		t.Fatalf("%d client-visible failures out of %d requests across the restart", f, requests.Load())
 	}
-	if n := g.Metrics().HistogramCount("rejoin_seconds"); n < 1 {
+	if n := rejoinObservations(t, g); n < 1 {
 		t.Fatalf("rejoin_seconds histogram empty (count=%d)", n)
 	}
 	t.Logf("restart absorbed: %d requests, 0 failures, slowstart enters=%d done=%d",

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -205,9 +206,30 @@ func TestRefusedTripsBreakerImmediately(t *testing.T) {
 	if w := g.replicas[0].weightNow(time.Now()); w >= 1 {
 		t.Fatalf("rejoined replica weight = %v, want < 1 (ramping)", w)
 	}
-	if n := g.Metrics().HistogramCount("rejoin_seconds"); n < 1 {
+	if n := rejoinObservations(t, g); n < 1 {
 		t.Fatalf("rejoin_seconds observations = %d, want >= 1", n)
 	}
+}
+
+// rejoinObservations reads the rejoin_seconds histogram's count from the
+// gateway's /metricz rendering.
+func rejoinObservations(t *testing.T, g *Gateway) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "rejoin_seconds_count "); ok {
+			var n int64
+			if _, err := fmt.Sscan(v, &n); err != nil {
+				t.Fatalf("rejoin_seconds_count line %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no rejoin_seconds_count in /metricz:\n%s", buf.String())
+	return 0
 }
 
 // TestSlowStartCapLimitsConcurrency: a replica at ramp step 0 (cap 1) must

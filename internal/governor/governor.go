@@ -91,9 +91,19 @@ func ParseState(s string) (State, bool) {
 	return StateOK, false
 }
 
-// minRetryAfter floors the drain-rate-derived shed hint, and is the hint
-// before the first control tick.
-const minRetryAfter = time.Second
+const (
+	// minRetryAfter floors the drain-rate-derived shed hint, and is the
+	// hint before the first control tick; maxRetryAfter caps it.
+	minRetryAfter = time.Second
+	maxRetryAfter = 30 * time.Second
+	// concavity is the exponential quality function's C over normalized
+	// demand (Xmax = 1): quality of a request served fraction x of its
+	// demand is (1-e^{-Cx})/(1-e^{-C}).
+	concavity = 6
+	// recoverTicks is how many consecutive calm quanta must pass before
+	// the ladder steps back down (hysteresis).
+	recoverTicks = 3
+)
 
 // Config parameterizes the governor. Zero values take the defaults noted
 // on each field.
@@ -110,10 +120,6 @@ type Config struct {
 	CriticalLoad float64
 	// QGE is the good-enough batch quality target. Default 0.9.
 	QGE float64
-	// Concavity is the exponential quality function's C over normalized
-	// demand (Xmax = 1): quality of a request served fraction x of its
-	// demand is (1-e^{-Cx})/(1-e^{-C}). Default 6.
-	Concavity float64
 	// NominalDemand seeds the estimate of full-quality seconds of work per
 	// request; the governor then learns it from uncut completions.
 	// Default 1s.
@@ -121,12 +127,6 @@ type Config struct {
 	// RateWindow smooths the admission/drain rate estimators and is the
 	// horizon over which queued backlog must drain. Default 5s.
 	RateWindow time.Duration
-	// RecoverTicks is how many consecutive calm quanta must pass before
-	// the ladder steps back down (hysteresis). Default 3.
-	RecoverTicks int
-	// MaxRetryAfter caps the drain-rate-derived shed hint, which never
-	// falls below minRetryAfter. Default 30s.
-	MaxRetryAfter time.Duration
 	// QueueLen probes the admission-queue depth (optional; nil reads 0).
 	QueueLen func() int
 	// Decisions receives one record per admit/cut/compensate/shed/switch
@@ -152,20 +152,11 @@ func (c Config) withDefaults() Config {
 	if c.QGE <= 0 || c.QGE >= 1 {
 		c.QGE = 0.9
 	}
-	if c.Concavity <= 0 {
-		c.Concavity = 6
-	}
 	if c.NominalDemand <= 0 {
 		c.NominalDemand = time.Second
 	}
 	if c.RateWindow <= 0 {
 		c.RateWindow = 5 * time.Second
-	}
-	if c.RecoverTicks <= 0 {
-		c.RecoverTicks = 3
-	}
-	if c.MaxRetryAfter <= 0 {
-		c.MaxRetryAfter = 30 * time.Second
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -237,7 +228,7 @@ type Governor struct {
 // change call sites.
 func New(cfg Config) (*Governor, error) {
 	cfg = cfg.withDefaults()
-	f := quality.NewExponential(cfg.Concavity, 1)
+	f := quality.NewExponential(concavity, 1)
 	g := &Governor{
 		cfg:        cfg,
 		f:          f,
@@ -302,7 +293,7 @@ func (g *Governor) Headroom() float64 {
 
 // RetryAfter returns the current drain-rate-derived shed hint: the time
 // for the present backlog plus one to drain at the observed completion
-// rate, clamped to [minRetryAfter, MaxRetryAfter].
+// rate, clamped to [minRetryAfter, maxRetryAfter].
 func (g *Governor) RetryAfter() time.Duration {
 	return time.Duration(g.retryNS.Load())
 }
@@ -483,7 +474,7 @@ func (g *Governor) tick(now time.Time) {
 	g.cutLevel = level
 
 	// Ladder with hysteresis: escalate immediately, recover only after
-	// RecoverTicks consecutive calmer quanta.
+	// recoverTicks consecutive calmer quanta.
 	cur := State(g.state.Load())
 	switch {
 	case raw > cur:
@@ -492,7 +483,7 @@ func (g *Governor) tick(now time.Time) {
 		g.emitState(now, obs.DecisionModeSwitch, cur.String(), load, u)
 	case raw < cur:
 		g.calm++
-		if g.calm >= cfg.RecoverTicks {
+		if g.calm >= recoverTicks {
 			cur, g.calm = raw, 0
 			g.state.Store(int32(cur))
 			g.emitState(now, obs.DecisionModeSwitch, cur.String(), load, u)
@@ -562,15 +553,15 @@ func (g *Governor) tick(now time.Time) {
 	}
 
 	// Publish the shed hint and headroom.
-	retry := cfg.MaxRetryAfter
+	retry := maxRetryAfter
 	if g.drainEWMA > 1e-9 {
 		retry = time.Duration(float64(queued+1) / g.drainEWMA * float64(time.Second))
 	}
 	if retry < minRetryAfter {
 		retry = minRetryAfter
 	}
-	if retry > cfg.MaxRetryAfter {
-		retry = cfg.MaxRetryAfter
+	if retry > maxRetryAfter {
+		retry = maxRetryAfter
 	}
 	g.retryNS.Store(int64(retry))
 	hr := 1 - u

@@ -57,10 +57,8 @@ func TestBrownoutLadder(t *testing.T) {
 		Budget:        2,
 		Quantum:       100 * time.Millisecond,
 		QGE:           0.9,
-		Concavity:     6,
 		NominalDemand: time.Second,
 		RateWindow:    time.Second,
-		RecoverTicks:  2,
 		Decisions:     sink,
 	}, clk, &queue)
 
@@ -114,12 +112,14 @@ func TestBrownoutLadder(t *testing.T) {
 	}
 
 	// Recovery: load vanishes, but the ladder steps down only after
-	// RecoverTicks consecutive calm quanta.
+	// recoverTicks consecutive calm quanta.
 	queue = 0
-	clk.advance(100 * time.Millisecond)
-	g.tick(clk.now())
-	if s := g.State(); s != StateShedding {
-		t.Fatalf("state dropped after one calm tick: %v (hysteresis broken)", s)
+	for calm := 1; calm < recoverTicks; calm++ {
+		clk.advance(100 * time.Millisecond)
+		g.tick(clk.now())
+		if s := g.State(); s != StateShedding {
+			t.Fatalf("state dropped after %d calm ticks: %v (hysteresis broken)", calm, s)
+		}
 	}
 	clk.advance(100 * time.Millisecond)
 	g.tick(clk.now())
@@ -308,13 +308,10 @@ func TestRetryAfterFromDrainRate(t *testing.T) {
 	}
 
 	// No drain observed → the hint pins to the max clamp, never zero.
-	g2 := newTestGovernor(t, Config{
-		Budget: 2, Quantum: 100 * time.Millisecond,
-		MaxRetryAfter: 7 * time.Second,
-	}, clk, &queue)
+	g2 := newTestGovernor(t, Config{Budget: 2, Quantum: 100 * time.Millisecond}, clk, &queue)
 	g2.tick(clk.now())
-	if ra := g2.RetryAfter(); ra != 7*time.Second {
-		t.Fatalf("zero-drain Retry-After = %v, want the 7s clamp", ra)
+	if ra := g2.RetryAfter(); ra != 30*time.Second {
+		t.Fatalf("zero-drain Retry-After = %v, want the 30s clamp", ra)
 	}
 }
 

@@ -83,9 +83,6 @@ func (t *Timeline) append(s Sample) {
 	t.hasPending = false
 }
 
-// Len returns the number of recorded samples.
-func (t *Timeline) Len() int { return len(t.samples) }
-
 // WriteCSV emits the full timeline. The fixed columns are
 // time_s,quality,power_w,load_units,waiting,aes,energy_j; when the samples
 // carry per-core speeds, one speed_cN_ghz column per core follows (the

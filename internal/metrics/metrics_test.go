@@ -12,8 +12,8 @@ func TestTimelineThinning(t *testing.T) {
 		tl.Record(Sample{Time: float64(i) * 0.1, Quality: 0.9})
 	}
 	// 10 s of samples at 0.1 s spacing thinned to >= 1 s apart → ~10.
-	if tl.Len() > 11 || tl.Len() < 9 {
-		t.Fatalf("thinned to %d samples, want ~10", tl.Len())
+	if len(tl.samples) > 11 || len(tl.samples) < 9 {
+		t.Fatalf("thinned to %d samples, want ~10", len(tl.samples))
 	}
 	prev := -10.0
 	for _, s := range tl.samples {
@@ -29,8 +29,8 @@ func TestTimelineNoThinning(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		tl.Record(Sample{Time: float64(i) * 0.001})
 	}
-	if tl.Len() != 50 {
-		t.Fatalf("unthinned timeline dropped samples: %d", tl.Len())
+	if len(tl.samples) != 50 {
+		t.Fatalf("unthinned timeline dropped samples: %d", len(tl.samples))
 	}
 }
 
@@ -38,7 +38,7 @@ func TestTimelineNegativeIntervalClamped(t *testing.T) {
 	tl := NewTimeline(-5)
 	tl.Record(Sample{Time: 0})
 	tl.Record(Sample{Time: 0})
-	if tl.Len() != 2 {
+	if len(tl.samples) != 2 {
 		t.Fatal("negative interval should behave like 0")
 	}
 }
@@ -81,17 +81,17 @@ func TestTimelineFlushKeepsFinalSample(t *testing.T) {
 	tl.Record(Sample{Time: 1, Quality: 0.6}) // thinned
 	tl.Record(Sample{Time: 2, Quality: 0.7}) // thinned; pending endpoint
 	tl.Flush()
-	if tl.Len() != 2 {
-		t.Fatalf("got %d samples, want 2 (first + flushed final)", tl.Len())
+	if len(tl.samples) != 2 {
+		t.Fatalf("got %d samples, want 2 (first + flushed final)", len(tl.samples))
 	}
-	last := tl.samples[tl.Len()-1]
+	last := tl.samples[len(tl.samples)-1]
 	if last.Time != 2 || last.Quality != 0.7 {
 		t.Fatalf("final sample lost: got %+v", last)
 	}
 	// A second Flush must not duplicate it.
 	tl.Flush()
-	if tl.Len() != 2 {
-		t.Fatalf("double Flush duplicated the endpoint: %d samples", tl.Len())
+	if len(tl.samples) != 2 {
+		t.Fatalf("double Flush duplicated the endpoint: %d samples", len(tl.samples))
 	}
 }
 
@@ -99,7 +99,7 @@ func TestTimelineFlushNoPending(t *testing.T) {
 	tl := NewTimeline(1)
 	tl.Record(Sample{Time: 0})
 	tl.Flush() // nothing pending: the only sample was recorded
-	if tl.Len() != 1 {
-		t.Fatalf("flush with nothing pending appended: %d samples", tl.Len())
+	if len(tl.samples) != 1 {
+		t.Fatalf("flush with nothing pending appended: %d samples", len(tl.samples))
 	}
 }

@@ -84,17 +84,6 @@ func (r *SyncRegistry) Observe(name string, v float64) {
 	}
 }
 
-// HistogramCount reads the observation count of the named histogram (zero
-// when absent).
-func (r *SyncRegistry) HistogramCount(name string) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.reg.hists[name]; ok {
-		return h.Count()
-	}
-	return 0
-}
-
 // WriteText renders the registry snapshot to w under the lock.
 func (r *SyncRegistry) WriteText(w io.Writer) error {
 	r.mu.Lock()

@@ -84,16 +84,6 @@ func NewSampler(interval time.Duration, capacity int) *Sampler {
 	}
 }
 
-// SetClock replaces the millisecond wall clock (tests).
-func (s *Sampler) SetClock(now func() int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.now = now
-	s.mu.Unlock()
-}
-
 // Track registers a series. The callback runs on the sampler goroutine
 // once per tick; it must be cheap and concurrency-safe. Re-tracking an
 // existing name replaces its callback and keeps its history. Nil-safe.

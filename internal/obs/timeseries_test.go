@@ -10,7 +10,7 @@ import (
 func TestSamplerSampleAndWriteJSON(t *testing.T) {
 	s := NewSampler(time.Second, 4)
 	now := int64(0)
-	s.SetClock(func() int64 { now += 1000; return now })
+	s.now = func() int64 { now += 1000; return now }
 	v := 0.0
 	s.Track("load", func() float64 { v++; return v })
 	s.Track("flat", func() float64 { return 7 })

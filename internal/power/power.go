@@ -154,9 +154,6 @@ func UniformLadder(max float64, steps int) (*Ladder, error) {
 // Max returns the fastest discrete speed.
 func (l *Ladder) Max() float64 { return l.speeds[len(l.speeds)-1] }
 
-// Len returns the number of discrete levels.
-func (l *Ladder) Len() int { return len(l.speeds) }
-
 // Up returns the smallest discrete speed >= s. If s exceeds the fastest
 // level, the fastest level is returned along with ok=false.
 func (l *Ladder) Up(s float64) (speed float64, ok bool) {

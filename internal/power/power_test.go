@@ -140,8 +140,8 @@ func TestNewLadder(t *testing.T) {
 			t.Fatalf("ladder speeds = %v, want %v", got, want)
 		}
 	}
-	if l.Max() != 2.0 || l.Len() != 4 {
-		t.Fatalf("ladder accessors wrong: max=%v len=%d", l.Max(), l.Len())
+	if l.Max() != 2.0 || len(l.speeds) != 4 {
+		t.Fatalf("ladder accessors wrong: max=%v len=%d", l.Max(), len(l.speeds))
 	}
 }
 
@@ -165,8 +165,8 @@ func TestUniformLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Len() != 16 {
-		t.Fatalf("uniform ladder len = %d, want 16", l.Len())
+	if len(l.speeds) != 16 {
+		t.Fatalf("uniform ladder len = %d, want 16", len(l.speeds))
 	}
 	if math.Abs(l.speeds[0]-0.2) > 1e-12 || math.Abs(l.Max()-3.2) > 1e-12 {
 		t.Fatalf("uniform ladder bounds = [%v, %v]", l.speeds[0], l.Max())

@@ -30,8 +30,6 @@ type Function interface {
 	// Inverse returns the smallest volume x with Value(x) >= q. q above
 	// the maximum attainable quality returns xmax; q <= 0 returns 0.
 	Inverse(q float64) float64
-	// Name identifies the family for reports.
-	Name() string
 }
 
 // Exponential is the paper's Eq. 1 quality function.
@@ -92,9 +90,6 @@ func (e *Exponential) Inverse(q float64) float64 {
 	return x
 }
 
-// Name implements Function.
-func (e *Exponential) Name() string { return fmt.Sprintf("exp(c=%g)", e.C) }
-
 // Marginal returns f'(x), the marginal quality of the next unit of work at
 // volume x. Used by Quality-OPT's equal-marginal allocation.
 func (e *Exponential) Marginal(x float64) float64 {
@@ -145,9 +140,6 @@ func (l *Logarithmic) Inverse(q float64) float64 {
 	return math.Expm1(q*l.norm) / l.K
 }
 
-// Name implements Function.
-func (l *Logarithmic) Name() string { return fmt.Sprintf("log(k=%g)", l.K) }
-
 // PowerLaw is f(x) = (x/xmax)^gamma with 0 < gamma <= 1 (concave).
 type PowerLaw struct {
 	Gamma float64
@@ -184,9 +176,6 @@ func (p *PowerLaw) Inverse(q float64) float64 {
 	}
 	return p.XMax * math.Pow(q, 1/p.Gamma)
 }
-
-// Name implements Function.
-func (p *PowerLaw) Name() string { return fmt.Sprintf("pow(g=%g)", p.Gamma) }
 
 // Linear is f(x) = x/xmax — the degenerate "no diminishing returns" case.
 // With a linear function LF cutting has no quality-efficient head to keep,
@@ -225,9 +214,6 @@ func (l *Linear) Inverse(q float64) float64 {
 	}
 	return q * l.XMax
 }
-
-// Name implements Function.
-func (l *Linear) Name() string { return "linear" }
 
 // Accumulator tracks batch quality incrementally as jobs finalize, which is
 // how the GE scheduler's online quality monitor observes the achieved

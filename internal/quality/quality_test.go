@@ -26,16 +26,16 @@ func allFamilies() []Function {
 func TestValueBounds(t *testing.T) {
 	for _, f := range allFamilies() {
 		if got := f.Value(0); got != 0 {
-			t.Errorf("%s: Value(0) = %v, want 0", f.Name(), got)
+			t.Errorf("%+v: Value(0) = %v, want 0", f, got)
 		}
 		if got := f.Value(-5); got != 0 {
-			t.Errorf("%s: Value(-5) = %v, want 0", f.Name(), got)
+			t.Errorf("%+v: Value(-5) = %v, want 0", f, got)
 		}
 		if got := f.Value(xmax); math.Abs(got-1) > 1e-12 {
-			t.Errorf("%s: Value(xmax) = %v, want 1", f.Name(), got)
+			t.Errorf("%+v: Value(xmax) = %v, want 1", f, got)
 		}
 		if got := f.Value(xmax * 10); got != 1 {
-			t.Errorf("%s: Value(10*xmax) = %v, want 1 (clamp)", f.Name(), got)
+			t.Errorf("%+v: Value(10*xmax) = %v, want 1 (clamp)", f, got)
 		}
 	}
 }
@@ -46,7 +46,7 @@ func TestValueMonotone(t *testing.T) {
 		for x := 0.0; x <= xmax; x += xmax / 500 {
 			v := f.Value(x)
 			if v < prev-1e-12 {
-				t.Fatalf("%s: not monotone at x=%v: %v < %v", f.Name(), x, v, prev)
+				t.Fatalf("%+v: not monotone at x=%v: %v < %v", f, x, v, prev)
 			}
 			prev = v
 		}
@@ -61,8 +61,8 @@ func TestValueConcave(t *testing.T) {
 				mid := f.Value((a + b) / 2)
 				chord := (f.Value(a) + f.Value(b)) / 2
 				if mid < chord-1e-9 {
-					t.Fatalf("%s: not concave at a=%v b=%v: f(mid)=%v < chord=%v",
-						f.Name(), a, b, mid, chord)
+					t.Fatalf("%+v: not concave at a=%v b=%v: f(mid)=%v < chord=%v",
+						f, a, b, mid, chord)
 				}
 			}
 		}
@@ -74,11 +74,11 @@ func TestInverseRoundTrip(t *testing.T) {
 		for q := 0.0; q <= 1.0; q += 0.01 {
 			x := f.Inverse(q)
 			if x < 0 || x > xmax {
-				t.Fatalf("%s: Inverse(%v) = %v out of range", f.Name(), q, x)
+				t.Fatalf("%+v: Inverse(%v) = %v out of range", f, q, x)
 			}
 			got := f.Value(x)
 			if math.Abs(got-q) > 1e-6 {
-				t.Fatalf("%s: Value(Inverse(%v)) = %v", f.Name(), q, got)
+				t.Fatalf("%+v: Value(Inverse(%v)) = %v", f, q, got)
 			}
 		}
 	}
@@ -87,16 +87,16 @@ func TestInverseRoundTrip(t *testing.T) {
 func TestInverseEdges(t *testing.T) {
 	for _, f := range allFamilies() {
 		if got := f.Inverse(0); got != 0 {
-			t.Errorf("%s: Inverse(0) = %v, want 0", f.Name(), got)
+			t.Errorf("%+v: Inverse(0) = %v, want 0", f, got)
 		}
 		if got := f.Inverse(-1); got != 0 {
-			t.Errorf("%s: Inverse(-1) = %v, want 0", f.Name(), got)
+			t.Errorf("%+v: Inverse(-1) = %v, want 0", f, got)
 		}
 		if got := f.Inverse(1); got != xmax {
-			t.Errorf("%s: Inverse(1) = %v, want xmax", f.Name(), got)
+			t.Errorf("%+v: Inverse(1) = %v, want xmax", f, got)
 		}
 		if got := f.Inverse(2); got != xmax {
-			t.Errorf("%s: Inverse(2) = %v, want xmax (clamp)", f.Name(), got)
+			t.Errorf("%+v: Inverse(2) = %v, want xmax (clamp)", f, got)
 		}
 	}
 }
@@ -107,8 +107,8 @@ func TestInverseNumericMatchesClosedForm(t *testing.T) {
 			closed := f.Inverse(q)
 			numeric := inverseNumeric(f, q)
 			if math.Abs(closed-numeric) > 1e-4*xmax {
-				t.Fatalf("%s: inverse mismatch at q=%v: closed=%v numeric=%v",
-					f.Name(), q, closed, numeric)
+				t.Fatalf("%+v: inverse mismatch at q=%v: closed=%v numeric=%v",
+					f, q, closed, numeric)
 			}
 		}
 	}
@@ -308,13 +308,13 @@ func TestAddKnownMatchesAdd(t *testing.T) {
 				a1, p1 := add.Add(c, p)
 				a2, p2 := known.AddKnown(c, p, f.Value(p))
 				if !same(a1, wantA) || !same(p1, wantP) || !same(a2, wantA) || !same(p2, wantP) {
-					t.Fatalf("%s c=%v p=%v: Add terms (%v, %v), AddKnown (%v, %v), want (%v, %v)",
-						f.Name(), c, p, a1, p1, a2, p2, wantA, wantP)
+					t.Fatalf("%+v c=%v p=%v: Add terms (%v, %v), AddKnown (%v, %v), want (%v, %v)",
+						f, c, p, a1, p1, a2, p2, wantA, wantP)
 				}
 			}
 		}
 		if !same(add.Quality(), known.Quality()) {
-			t.Fatalf("%s: AddKnown quality %v, Add %v", f.Name(), known.Quality(), add.Quality())
+			t.Fatalf("%+v: AddKnown quality %v, Add %v", f, known.Quality(), add.Quality())
 		}
 	}
 }

@@ -97,10 +97,12 @@ func TestGovernedHappyPath(t *testing.T) {
 // shedding, a 503 "shedding" readyz, and a cut partial result (quality < 1)
 // once the occupied worker returns.
 func TestBrownoutShedsWithDrainHint(t *testing.T) {
+	// The occupied request stays in flight until release, and alone it
+	// holds the load at 20x the budget, so the ladder cannot recover
+	// before then.
 	g := newGovernor(t, governor.Config{
-		Budget:       0.05, // one running request is 20x over budget
-		Quantum:      time.Millisecond,
-		RecoverTicks: 1 << 30, // never recover during the test
+		Budget:  0.05, // one running request is 20x over budget
+		Quantum: time.Millisecond,
 	})
 	release := make(chan struct{})
 	started := make(chan struct{}, 4)

@@ -455,6 +455,3 @@ func (r *Replayer) Next() *job.Job {
 	r.pos++
 	return j
 }
-
-// Reset rewinds the replayer to the start of the trace.
-func (r *Replayer) Reset() { r.pos = 0 }

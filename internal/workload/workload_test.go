@@ -300,11 +300,11 @@ func TestReplayerRoundTrip(t *testing.T) {
 	if count != len(jobs) {
 		t.Fatalf("replayed %d of %d jobs", count, len(jobs))
 	}
-	// Exhausted replayer stays exhausted; Reset rewinds.
+	// Exhausted replayer stays exhausted; rewound, it replays again.
 	if rep.Next() != nil {
 		t.Fatal("exhausted replayer yielded a job")
 	}
-	rep.Reset()
+	rep.pos = 0
 	if rep.Next() == nil {
 		t.Fatal("reset replayer yielded nothing")
 	}
@@ -318,7 +318,7 @@ func TestReplayerMintsFreshJobs(t *testing.T) {
 	}
 	a := rep.Next()
 	a.Advance(50) // mutate the first copy
-	rep.Reset()
+	rep.pos = 0
 	b := rep.Next()
 	if b.Processed != 0 {
 		t.Fatal("replayer shared job state across runs")
