@@ -190,3 +190,24 @@ func TestFaultConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultSpecErrorPrefixedOnce: a bad fault spec names the faults
+// package once, on the single-machine and on the fleet path.
+func TestFaultSpecErrorPrefixedOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.DurationSec = 1
+	cfg.Faults = []FaultSpec{{AtSec: -1, Kind: "core-fail", Core: 1}}
+	_, err := Run(cfg)
+	want := "goodenough: faults: spec 0: onset time -1 must be finite and non-negative"
+	if err == nil || err.Error() != want {
+		t.Errorf("Run error = %v, want %q", err, want)
+	}
+
+	fc := chaosFleetConfig(t)
+	fc.DurationSec = 10
+	_, err = RunFleet(fc)
+	want = "goodenough: faults: spec 3: onset time 10 outside the run horizon [0,10)"
+	if err == nil || err.Error() != want {
+		t.Errorf("RunFleet error = %v, want %q", err, want)
+	}
+}

@@ -23,7 +23,7 @@ func TestSpecValidation(t *testing.T) {
 		{At: 0, Kind: Kind(42)},                         // unknown kind
 	}
 	for i, s := range bad {
-		if err := s.Validate(); err == nil {
+		if err := s.check(); err == nil {
 			t.Errorf("spec %d (%+v) validated, want error", i, s)
 		}
 		if _, err := New([]Spec{s}); err == nil {
@@ -38,19 +38,16 @@ func TestSpecValidation(t *testing.T) {
 		{At: 3, Kind: HTTPError, Duration: 1}, // code defaults later
 	}
 	for i, s := range good {
-		if err := s.Validate(); err != nil {
+		if err := s.check(); err != nil {
 			t.Errorf("spec %d (%+v): %v", i, s, err)
 		}
 	}
 }
 
-// TestSpecErrorPrefixedOnce: Validate and New each name the package once,
-// so gechaos does not print "chaos: spec 1: chaos: ...".
+// TestSpecErrorPrefixedOnce: New names the package once, so gechaos does
+// not print "chaos: spec 1: chaos: ...".
 func TestSpecErrorPrefixedOnce(t *testing.T) {
 	bad := Spec{At: 1, Kind: Latency}
-	if err := bad.Validate(); err == nil || err.Error() != "chaos: latency delay 0 must be finite and positive" {
-		t.Errorf("Validate = %v", err)
-	}
 	_, err := New([]Spec{{At: 0, Kind: Blackhole}, bad})
 	if err == nil || err.Error() != "chaos: spec 1: latency delay 0 must be finite and positive" {
 		t.Errorf("New = %v", err)
@@ -96,7 +93,7 @@ func TestScheduleOrderingAndActiveAt(t *testing.T) {
 		t.Fatal("permanent window lapsed")
 	}
 	var nilSched *Schedule
-	if nilSched.ActiveAt(1) != nil || nilSched.Len() != 0 {
+	if nilSched.ActiveAt(1) != nil {
 		t.Fatal("nil schedule is not quiet")
 	}
 }
@@ -110,7 +107,7 @@ func TestGenerateDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a.specs, b.specs) {
 		t.Fatal("same seed produced different schedules")
 	}
-	if a.Len() == 0 {
+	if len(a.specs) == 0 {
 		t.Fatal("60s horizon with 10s MTBF produced no outages")
 	}
 	c, _ := Generate(8, 60, 10, 3, Blackhole, 0, 0)

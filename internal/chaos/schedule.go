@@ -97,16 +97,8 @@ type Spec struct {
 	Code int `json:"code,omitempty"`
 }
 
-// Validate reports whether the spec is well-formed.
-func (s Spec) Validate() error {
-	if err := s.check(); err != nil {
-		return fmt.Errorf("chaos: %w", err)
-	}
-	return nil
-}
-
-// check is Validate without the "chaos:" prefix, which New words with the
-// spec's index.
+// check reports whether the spec is well-formed. Its error leaves the
+// "chaos:" prefix to New, which words it with the spec's index.
 func (s Spec) check() error {
 	if math.IsNaN(s.At) || math.IsInf(s.At, 0) || s.At < 0 {
 		return fmt.Errorf("onset time %v must be finite and non-negative", s.At)
@@ -186,14 +178,6 @@ func Generate(seed uint64, horizon, mtbf, mttr float64, kind Kind, delay, jitter
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
 	return New(specs)
-}
-
-// Len returns the number of windows.
-func (s *Schedule) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.specs)
 }
 
 // ActiveAt returns the windows covering elapsed time t, in onset order. A

@@ -231,29 +231,28 @@ type Spec struct {
 	Value float64
 }
 
-// Validate reports whether the spec is well-formed for the scope's target
-// count. A machine-scope onset must also lie before a positive horizon.
-func (s Spec) Validate(scope Scope, targets int, horizon float64) error {
+// check reports whether the spec is well-formed for the scope's target
+// count. A machine-scope onset must also lie before a positive horizon. Its
+// error leaves the "faults:" prefix to New, which words it with the spec's
+// index.
+func (s Spec) check(scope Scope, targets int, horizon float64) error {
 	if math.IsNaN(s.At) || math.IsInf(s.At, 0) || s.At < 0 {
-		return fmt.Errorf("faults: onset time %v must be finite and non-negative", s.At)
+		return fmt.Errorf("onset time %v must be finite and non-negative", s.At)
 	}
 	if scope == Machines && horizon > 0 && s.At >= horizon {
-		return fmt.Errorf("faults: onset time %v outside the run horizon [0,%v)", s.At, horizon)
+		return fmt.Errorf("onset time %v outside the run horizon [0,%v)", s.At, horizon)
 	}
 	if math.IsNaN(s.Duration) || math.IsInf(s.Duration, 0) || s.Duration < 0 {
-		return fmt.Errorf("faults: duration %v must be finite and non-negative", s.Duration)
+		return fmt.Errorf("duration %v must be finite and non-negative", s.Duration)
 	}
 	row, err := inScope(s.Kind, scope)
 	if err != nil {
-		return fmt.Errorf("faults: %w", err)
+		return err
 	}
 	if !row.onset {
-		return fmt.Errorf("faults: %v is a recovery kind; specs carry the onset plus a Duration", s.Kind)
+		return fmt.Errorf("%v is a recovery kind; specs carry the onset plus a Duration", s.Kind)
 	}
-	if err := row.check(scope, targets, s.Target, s.Value); err != nil {
-		return fmt.Errorf("faults: %w", err)
-	}
-	return nil
+	return row.check(scope, targets, s.Target, s.Value)
 }
 
 // inScope returns k's row if k is a kind of the scope. Its error, like
@@ -309,7 +308,7 @@ func New(scope Scope, specs []Spec, targets int, horizon float64) (*Schedule, er
 	}
 	events := make([]Event, 0, 2*len(specs))
 	for i, s := range specs {
-		if err := s.Validate(scope, targets, horizon); err != nil {
+		if err := s.check(scope, targets, horizon); err != nil {
 			return nil, fmt.Errorf("faults: spec %d: %w", i, err)
 		}
 		for k := 0; scope == Machines && k < i; k++ {
@@ -438,14 +437,6 @@ func (s *Schedule) Events() []Event {
 		return nil
 	}
 	return append([]Event(nil), s.events...)
-}
-
-// Len returns the number of events.
-func (s *Schedule) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.events)
 }
 
 // Validate re-checks the event stream against a scope and its target

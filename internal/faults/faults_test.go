@@ -58,7 +58,7 @@ func TestSpecValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := c.spec.Validate(Cores, 16, 0)
+			err := c.spec.check(Cores, 16, 0)
 			if err == nil {
 				t.Fatalf("spec %+v accepted", c.spec)
 			}
@@ -85,7 +85,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() > 0 && reflect.DeepEqual(a.Events(), c.Events()) {
+	if len(a.events) > 0 && reflect.DeepEqual(a.Events(), c.Events()) {
 		t.Fatal("different seeds produced identical non-empty schedules")
 	}
 }
@@ -95,7 +95,7 @@ func TestGeneratePairsFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sch.Len() == 0 {
+	if len(sch.events) == 0 {
 		t.Fatal("expected some failures at MTBF 50 over 1000 s")
 	}
 	down := make(map[int]bool)
@@ -155,7 +155,7 @@ func TestGenerateBoundsExpectedOutages(t *testing.T) {
 	if err != nil {
 		t.Fatalf("at the limit: %v", err)
 	}
-	if n := sch.Len() / 2; n < 9e4 || n > 1.1e5 {
+	if n := len(sch.events) / 2; n < 9e4 || n > 1.1e5 {
 		t.Fatalf("drew %d outages, want about 1e5", n)
 	}
 	if _, err := Generate(1, 10, 1e4+1, 0.75, 0.25); err == nil || !strings.Contains(err.Error(), "limit of 100000") {
@@ -179,7 +179,7 @@ func TestScheduleValidateCoreMismatch(t *testing.T) {
 
 func TestNilScheduleIsEmpty(t *testing.T) {
 	var s *Schedule
-	if s.Len() != 0 || s.Events() != nil || s.Validate(Cores, 4) != nil {
+	if s.Events() != nil || s.Validate(Cores, 4) != nil {
 		t.Fatal("nil schedule should behave as empty")
 	}
 }
