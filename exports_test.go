@@ -154,9 +154,7 @@ func parseSources(t *testing.T, root string, fn func(fset *token.FileSet, pkg st
 
 // mirrorStructs lists the struct pairs allowed to share most of their field
 // names, each with the reason.
-var mirrorStructs = map[string]string{
-	"goodenough/internal/obs.DecisionLog ~ goodenough/internal/obs.JSONL": "item 6: the {w, buf, err} state of two buffered JSONL writers, which one record stream makes one",
-}
+var mirrorStructs = map[string]string{}
 
 // TestNoMirrorStructs fails when two struct types of the module share at
 // least 90% of the larger one's field names and the allowlist does not name

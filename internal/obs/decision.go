@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"io"
 	"strconv"
 	"sync"
@@ -126,15 +125,13 @@ func DecisionSinks(sinks ...DecisionSink) DecisionSink {
 // seeded run produces a byte-identical decision log every time (the
 // golden-file test relies on this).
 type DecisionLog struct {
-	w   *bufio.Writer
-	buf []byte
-	err error
+	lineWriter
 }
 
 // NewDecisionLog wraps w in a buffered decision sink. Call Flush when
 // the run completes.
 func NewDecisionLog(w io.Writer) *DecisionLog {
-	return &DecisionLog{w: bufio.NewWriter(w), buf: make([]byte, 0, 256)}
+	return &DecisionLog{newLineWriter(w)}
 }
 
 // ObserveDecision implements DecisionSink.
@@ -185,19 +182,7 @@ func (l *DecisionLog) ObserveDecision(d Decision) {
 		b = append(b, d.Action...)
 		b = append(b, '"')
 	}
-	b = append(b, '}', '\n')
-	l.buf = b
-	if _, err := l.w.Write(b); err != nil {
-		l.err = err
-	}
-}
-
-// Flush drains the buffer and returns the first write error, if any.
-func (l *DecisionLog) Flush() error {
-	if l.err != nil {
-		return l.err
-	}
-	return l.w.Flush()
+	l.end(b)
 }
 
 // SyncDecision serializes concurrent producers onto one sink. The

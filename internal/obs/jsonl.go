@@ -11,15 +11,44 @@ import (
 // fixed per-field rules), so a seeded run produces a byte-identical log on
 // every execution — the golden-file test relies on this.
 type JSONL struct {
-	w   *bufio.Writer
-	buf []byte
-	err error
+	lineWriter
 }
 
 // NewJSONL wraps w in a buffered JSONL event sink. Call Flush when the run
 // completes.
 func NewJSONL(w io.Writer) *JSONL {
-	return &JSONL{w: bufio.NewWriter(w), buf: make([]byte, 0, 256)}
+	return &JSONL{newLineWriter(w)}
+}
+
+// lineWriter is the buffered state of the JSONL logs (events, decisions,
+// spans). A log encodes each record into buf, from its opening brace up to
+// its last field, and hands it to end.
+type lineWriter struct {
+	w   *bufio.Writer
+	buf []byte
+	err error
+}
+
+func newLineWriter(w io.Writer) lineWriter {
+	return lineWriter{w: bufio.NewWriter(w), buf: make([]byte, 0, 256)}
+}
+
+// end closes the record in b, writes it as one line and keeps the first
+// write error, after which the log drops every record.
+func (l *lineWriter) end(b []byte) {
+	b = append(b, '}', '\n')
+	l.buf = b
+	if _, err := l.w.Write(b); err != nil {
+		l.err = err
+	}
+}
+
+// Flush drains the buffer and returns the first write error, if any.
+func (l *lineWriter) Flush() error {
+	if l.err != nil {
+		return l.err
+	}
+	return l.w.Flush()
 }
 
 // Observe implements Observer.
@@ -56,17 +85,5 @@ func (j *JSONL) Observe(e Event) {
 	if e.Flag {
 		b = append(b, `,"flag":true`...)
 	}
-	b = append(b, '}', '\n')
-	j.buf = b
-	if _, err := j.w.Write(b); err != nil {
-		j.err = err
-	}
-}
-
-// Flush drains the buffer and returns the first write error, if any.
-func (j *JSONL) Flush() error {
-	if j.err != nil {
-		return j.err
-	}
-	return j.w.Flush()
+	j.end(b)
 }

@@ -221,13 +221,6 @@ func NewSpanBusSeeded(seed uint64, sink SpanSink) *SpanBus {
 	return b
 }
 
-// SetClock replaces the wall clock (tests).
-func (b *SpanBus) SetClock(now func() int64) {
-	if b != nil {
-		b.now = now
-	}
-}
-
 // newID mints a non-zero ID: a splitmix64 hash of the seeded counter, so
 // IDs look random, never repeat within a bus, and differ across buses.
 func (b *SpanBus) newID() uint64 {
@@ -287,15 +280,13 @@ func (b *SpanBus) Finish(s *Span) {
 // same hand-rolled deterministic style as the event JSONL exporter.
 // Safe for concurrent use (spans finish on many goroutines).
 type SpanLog struct {
-	mu  sync.Mutex
-	w   *bufio.Writer
-	buf []byte
-	err error
+	mu sync.Mutex
+	lineWriter
 }
 
 // NewSpanLog wraps w in a buffered span sink. Call Flush when done.
 func NewSpanLog(w io.Writer) *SpanLog {
-	return &SpanLog{w: bufio.NewWriter(w), buf: make([]byte, 0, 256)}
+	return &SpanLog{lineWriter: newLineWriter(w)}
 }
 
 // ObserveSpan implements SpanSink.
@@ -339,21 +330,14 @@ func (l *SpanLog) ObserveSpan(s *Span) {
 		b = append(b, `,"note":`...)
 		b = strconv.AppendQuote(b, s.Note)
 	}
-	b = append(b, '}', '\n')
-	l.buf = b
-	if _, err := l.w.Write(b); err != nil {
-		l.err = err
-	}
+	l.end(b)
 }
 
 // Flush drains the buffer and returns the first write error, if any.
 func (l *SpanLog) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
-	return l.w.Flush()
+	return l.lineWriter.Flush()
 }
 
 // wireSpan is the decoded form of one SpanLog line.

@@ -68,7 +68,6 @@ func TestSpanNilSafety(t *testing.T) {
 		t.Error("nil span context is valid")
 	}
 	bus.Finish(s)
-	bus.SetClock(func() int64 { return 0 })
 }
 
 func TestSpanParenting(t *testing.T) {
@@ -95,7 +94,7 @@ func TestSpanLogRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	log := NewSpanLog(&buf)
 	bus := NewSpanBusSeeded(42, log)
-	bus.SetClock(testClock(1000, 500))
+	bus.now = testClock(1000, 500)
 
 	root := bus.Start("client./v1/run", SpanClient, SpanContext{})
 	child := bus.Start("attempt.replica0", SpanAttempt, root.Context())
@@ -149,7 +148,7 @@ func TestSpanLogDeterministic(t *testing.T) {
 		var buf bytes.Buffer
 		log := NewSpanLog(&buf)
 		bus := NewSpanBusSeeded(7, log)
-		bus.SetClock(testClock(0, 250))
+		bus.now = testClock(0, 250)
 		root := bus.Start("r", SpanGateway, SpanContext{})
 		for i := 0; i < 3; i++ {
 			c := bus.Start("a", SpanAttempt, root.Context())
@@ -186,7 +185,7 @@ func TestReadSpansSkipsTornTail(t *testing.T) {
 	var buf bytes.Buffer
 	log := NewSpanLog(&buf)
 	bus := NewSpanBusSeeded(3, log)
-	bus.SetClock(testClock(10_000, 1_000))
+	bus.now = testClock(10_000, 1_000)
 	for _, name := range []string{"a", "b", "c"} {
 		bus.Finish(bus.Start(name, SpanServer, SpanContext{}))
 	}
@@ -208,7 +207,7 @@ func TestWriteSpanTraceConnectedTree(t *testing.T) {
 	var logBuf bytes.Buffer
 	log := NewSpanLog(&logBuf)
 	bus := NewSpanBusSeeded(3, log)
-	bus.SetClock(testClock(10_000, 1_000))
+	bus.now = testClock(10_000, 1_000)
 
 	client := bus.Start("client./v1/run", SpanClient, SpanContext{})
 	gw := bus.Start("/v1/run", SpanGateway, client.Context())
