@@ -122,33 +122,46 @@ type point struct {
 	spec   workload.Spec
 }
 
-// runAll executes points on at most workers goroutines and indexes
-// results by (series, x). The first failing point's error, in point order,
-// fails the sweep.
-func runAll(points []point, workers int) (map[string]map[float64]sched.Result, error) {
-	results := make([]sched.Result, len(points))
-	errs := make([]error, len(points))
+// pool runs task(0) … task(n-1) on at most workers goroutines and returns
+// the first error in task order.
+func pool(n, workers int, task func(i int) error) error {
+	errs := make([]error, n)
 	slots := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	for i, p := range points {
+	for i := range n {
 		wg.Add(1)
 		slots <- struct{}{}
 		go func() {
 			defer func() { <-slots; wg.Done() }()
-			r, err := sched.NewRunner(p.cfg, p.mk(), p.spec)
-			if err == nil {
-				results[i], err = r.Run()
-			}
-			errs[i] = err
+			errs[i] = task(i)
 		}()
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
+// runAll executes points on the pool and indexes results by (series, x).
+// The first failing point's error, in point order, fails the sweep.
+func runAll(points []point, workers int) (map[string]map[float64]sched.Result, error) {
+	results := make([]sched.Result, len(points))
+	err := pool(len(points), workers, func(i int) error {
+		p := points[i]
+		r, err := sched.NewRunner(p.cfg, p.mk(), p.spec)
+		if err == nil {
+			results[i], err = r.Run()
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[string]map[float64]sched.Result)
 	for i, p := range points {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
 		if out[p.series] == nil {
 			out[p.series] = make(map[float64]sched.Result)
 		}

@@ -68,21 +68,29 @@ func CalibrateBES(s Settings, rate float64) (float64, error) {
 
 // Fig8 reproduces Figure 8: the quality-control policy (GE) against the
 // power-control (BE-P) and speed-control (BE-S) policies, each calibrated
-// per arrival rate to the least budget/speed meeting QGE. Calibration
-// bisects serially, rate by rate; the final sweep runs on the pool.
+// per arrival rate to the least budget/speed meeting QGE. Each of the
+// 2 × len(Rates) calibrations is a serial bisection; the pool runs them
+// side by side, and then the final sweep.
 func Fig8(s Settings) (qualityFig, energyFig plot.Figure, err error) {
 	if err := s.Validate(); err != nil {
 		return plot.Figure{}, plot.Figure{}, err
 	}
+	calibrated := make([]float64, 2*len(s.Rates)) // BE-P budget, BE-S cap per rate
+	err = pool(len(calibrated), s.workers(), func(i int) (err error) {
+		if rate := s.Rates[i/2]; i%2 == 0 {
+			calibrated[i], err = CalibrateBEP(s, rate)
+		} else {
+			calibrated[i], err = CalibrateBES(s, rate)
+		}
+		return err
+	})
+	if err != nil {
+		return plot.Figure{}, plot.Figure{}, err
+	}
 	budget := make(map[float64]float64, len(s.Rates))
 	speedCap := make(map[float64]float64, len(s.Rates))
-	for _, rate := range s.Rates {
-		if budget[rate], err = CalibrateBEP(s, rate); err != nil {
-			return plot.Figure{}, plot.Figure{}, err
-		}
-		if speedCap[rate], err = CalibrateBES(s, rate); err != nil {
-			return plot.Figure{}, plot.Figure{}, err
-		}
+	for k, rate := range s.Rates {
+		budget[rate], speedCap[rate] = calibrated[2*k], calibrated[2*k+1]
 	}
 	return two(s.sweep(false, []line{
 		ge("GE", s.Base),
