@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-baseline bench-check smoke fleet-smoke sweep sweep-fast fuzz cover clean
+.PHONY: all build test race vet bench bench-baseline bench-check smoke fleet-smoke sweep sweep-fast fuzz cover cover-audit clean
 
 all: build vet test
 
@@ -74,6 +74,12 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
+# Coverage of the shipped programs under what CI and the docs run (not the
+# tests): per-package coverage and the functions no invocation reaches.
+# Writes only under .cover-audit/; its output is sorted by hand.
+cover-audit:
+	sh scripts/cover_audit.sh
+
 clean:
 	rm -f cover.out bench_candidate.json
-	rm -rf results-fast
+	rm -rf results-fast .cover-audit
