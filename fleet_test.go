@@ -282,6 +282,39 @@ func TestFleetPartitionStrandsNoJobs(t *testing.T) {
 	}
 }
 
+// TestFleetWholeOutageExpiresParkedJobs: with every machine crashed for
+// longer than a response window, arrivals park at the dispatcher and expire
+// there, and each one still lands in the accounting exactly once.
+func TestFleetWholeOutageExpiresParkedJobs(t *testing.T) {
+	fc := DefaultFleetConfig()
+	fc.Machines = 2
+	fc.DurationSec = 6
+	fc.ArrivalRate = 154 * 2
+	fc.MachineFaults = []MachineFaultSpec{
+		{AtSec: 2, Kind: "crash", Machine: 0, DurationSec: 2},
+		{AtSec: 2, Kind: "crash", Machine: 1, DurationSec: 2},
+	}
+	res, err := RunFleet(fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 2 s of 308 req/s with nowhere to go, less the few still within
+	// their window when the machines return.
+	if res.PendingExpired < 400 {
+		t.Fatalf("pending expired = %d, want the outage's arrivals (~600)", res.PendingExpired)
+	}
+	if res.LostForever != 0 {
+		t.Fatalf("%d jobs lost forever", res.LostForever)
+	}
+	if int64(res.Jobs) != res.Completed+res.Expired+res.Dropped {
+		t.Fatalf("accounting: %d jobs != %d completed + %d expired + %d dropped",
+			res.Jobs, res.Completed, res.Expired, res.Dropped)
+	}
+	if res.Expired < res.PendingExpired {
+		t.Fatalf("expired %d excludes the %d parked expiries", res.Expired, res.PendingExpired)
+	}
+}
+
 // TestSingleMachineFleetMatchesRun: a fault-free one-machine fleet under
 // round-robin dispatch is the single-machine loop behind a pass-through
 // dispatcher, so it must reproduce Run exactly — every trigger, including
