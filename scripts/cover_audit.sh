@@ -61,9 +61,11 @@ for e in discretedvfs mixedworkload powerbudget quickstart websearch; do
 	"$BIN/$e"
 done
 
+# perfbench keeps its serving scratch under .bench_build/ in the working
+# directory, so it runs from the audit's own.
 for w in sim-overload fleet-chaos serve-light serve-brownout; do
 	for t in 0 1; do
-		"$BIN/perfbench" --workload "$w" --seconds 1 --trace "$t"
+		(cd "$OUT" && "$BIN/perfbench" --workload "$w" --seconds 1 --trace "$t")
 	done
 done
 
