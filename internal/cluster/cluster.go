@@ -21,8 +21,8 @@
 // merged in machine-index order at each barrier, so the observable streams
 // do not depend on K. The serial global phase between shard phases is
 // routing only: a producer goroutine draws the arrival stream ahead of it
-// (arrivals.go), and each shard posts the jobs routed to it when its next
-// phase starts.
+// (workload.Producer), and each shard posts the jobs routed to it when its
+// next phase starts.
 package cluster
 
 import (
@@ -338,14 +338,10 @@ type Fleet struct {
 	faultEvents []faults.Event
 	genDone     bool
 
-	// Arrival production (arrivals.go): the producer, the drawn chunk being
-	// taken from next on, the arrival whose event is outstanding on the
-	// global lane, and the finalized jobs not yet handed back.
-	prod     *producer
-	chunk    []arrival
-	next     int
-	arriving arrival
-	freed    []*job.Job
+	// Arrival production: the producer drawing gen while Run runs, and the
+	// arrival whose event is outstanding on the global lane.
+	prod     *workload.Producer
+	arriving workload.Arrival
 
 	// Crash-path scratch, reused across faults.
 	displaced []*job.Job
@@ -442,8 +438,8 @@ func (f *Fleet) applyView(n *node) {
 // stream on a producer goroutine that it stops and waits for before
 // returning.
 func (f *Fleet) Run() (Result, error) {
-	f.prod = startProducer(f.gen)
-	defer f.prod.close()
+	f.prod = workload.StartProducer(f.gen)
+	defer f.prod.Close()
 	f.cfg.Dispatch.Reset()
 	for _, n := range f.nodes {
 		n.d.Policy().Reset()
@@ -499,12 +495,12 @@ func (f *Fleet) handle(e *sim.Event) error {
 		f.jobs++
 		if f.obs != nil { // built only when observed: routing never loads the job
 			f.obs.Observe(obs.Event{Time: now, Type: obs.EventJobArrive,
-				Core: -1, Job: a.job.ID, Value: a.job.Demand, Aux: a.job.Deadline})
+				Core: -1, Job: a.Job.ID, Value: a.Job.Demand, Aux: a.Job.Deadline})
 		}
 		if err := f.postNextArrival(); err != nil {
 			return err
 		}
-		return f.dispatch(a.job, a.remaining, now, false)
+		return f.dispatch(a.Job, a.Remaining, now, false)
 
 	case sim.KindDeadline:
 		// Parked-job deadline watch; machine-held jobs expire on their
@@ -553,7 +549,7 @@ func (f *Fleet) expirePending(now float64) {
 		f.finalized++
 		obs.Emit(f.obs, obs.Event{Time: now, Type: obs.EventJobExpire,
 			Core: -1, Job: j.ID, Value: j.Processed, Aux: j.Demand})
-		f.recycle(j)
+		f.prod.Recycle(j)
 	}
 }
 
@@ -642,7 +638,7 @@ func (f *Fleet) redispatch(j *job.Job, now float64) error {
 				Machine: -1, Job: j.ID, Alts: j.Requeues, Load: j.Remaining(),
 				Action: "limit"})
 		}
-		f.recycle(j)
+		f.prod.Recycle(j)
 		return nil
 	}
 	return f.dispatch(j, j.Remaining(), now, true)
@@ -800,13 +796,13 @@ func (f *Fleet) postNextArrival() error {
 	if f.genDone {
 		return nil
 	}
-	a, ok := f.nextArrival()
+	a, ok := f.prod.Next()
 	if !ok {
 		f.genDone = true
 		return nil
 	}
-	if err := f.global.Post(a.release, sim.KindArrival, -1, -1); err != nil {
-		return fmt.Errorf("cluster: job source emitted job %d out of order: %w", a.job.ID, err)
+	if err := f.global.Post(a.Release, sim.KindArrival, -1, -1); err != nil {
+		return fmt.Errorf("cluster: job source emitted job %d out of order: %w", a.Job.ID, err)
 	}
 	f.arriving = a
 	return nil

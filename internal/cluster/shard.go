@@ -5,12 +5,12 @@
 // The run alternates two phases. In the *global phase* (main goroutine) the
 // dispatcher processes arrivals, routing decisions, parked-job deadlines,
 // quantum ticks, and machine faults in one globally ordered stream; a
-// producer goroutine draws the arrivals ahead of it (arrivals.go), so on the
-// arrival path the global phase only routes. Routing a job stages it on the
-// target machine's shard. In the *shard phase*, every shard posts the routes
-// staged for it on its engine's ordered lane, in routing order, and drains
-// its engine up to the next barrier instant — workers in parallel when
-// K > 1, inline when K == 1 — delivering routed jobs, per-core idle
+// producer goroutine draws the arrivals ahead of it (workload.Producer), so
+// on the arrival path the global phase only routes. Routing a job stages it
+// on the target machine's shard. In the *shard phase*, every shard posts the
+// routes staged for it on its engine's ordered lane, in routing order, and
+// drains its engine up to the next barrier instant — workers in parallel
+// when K > 1, inline when K == 1 — delivering routed jobs, per-core idle
 // wakeups, and one expiry wakeup per machine to its own machines only, then
 // settles each of its machines to the barrier instant and samples the view
 // signals of every machine it touched. Machines in different shards never
@@ -267,7 +267,7 @@ func (f *Fleet) flush() {
 				if r.Completed() {
 					f.responses = append(f.responses, r.Response)
 				}
-				f.recycle(r.Job)
+				f.prod.Recycle(r.Job)
 			}
 			n.d.ClearFinals()
 		}

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"goodenough"
 	"goodenough/internal/obs"
 )
 
@@ -208,6 +209,24 @@ func get(t *testing.T, url string) string {
 	return string(body)
 }
 
+// post sends body as JSON to url and requires a 200.
+func post(t *testing.T, url, body string) []byte {
+	t.Helper()
+	resp, err := testClient.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: status %d: %s", url, resp.StatusCode, reply)
+	}
+	return reply
+}
+
 func metrics(t *testing.T, base string) map[string]int64 {
 	t.Helper()
 	m, err := scrapeMetrics(testClient, base)
@@ -217,7 +236,8 @@ func metrics(t *testing.T, base string) map[string]int64 {
 	return m
 }
 
-// TestServeScenario: one geserve boots, answers its probes and one run,
+// TestServeScenario: one geserve boots, answers its probes, one run, one
+// trace replay and one sweep (the last two equal to the in-process calls),
 // takes a brief closed-loop overload, and drains cleanly on SIGTERM.
 func TestServeScenario(t *testing.T) {
 	skipShort(t)
@@ -228,21 +248,57 @@ func TestServeScenario(t *testing.T) {
 		t.Fatalf("readyz not ready: %q", body)
 	}
 
-	resp, err := testClient.Post(base+"/v1/run", "application/json",
-		strings.NewReader(`{"Scheduler":"ge","ArrivalRate":154,"DurationSec":5}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"Jobs":`)) {
-		t.Fatalf("run answered %d with no result: %s", resp.StatusCode, body)
+	body := post(t, base+"/v1/run", `{"Scheduler":"ge","ArrivalRate":154,"DurationSec":5}`)
+	if !bytes.Contains(body, []byte(`"Jobs":`)) {
+		t.Fatalf("run answered no result: %s", body)
 	}
 	if bytes.Contains(body, []byte(`"Cancelled":true`)) {
 		t.Fatalf("uncontended run came back cancelled: %s", body)
+	}
+
+	// A replayed trace answers exactly what an in-process replay of the
+	// same trace does, byte for byte.
+	cfg := goodenough.DefaultConfig()
+	cfg.DurationSec = 5
+	var trace bytes.Buffer
+	if err := goodenough.ExportTrace(cfg, &trace); err != nil {
+		t.Fatal(err)
+	}
+	res, err := goodenough.RunTraceContext(context.Background(), cfg, bytes.NewReader(trace.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(map[string]goodenough.Result{"result": res}); err != nil {
+		t.Fatal(err)
+	}
+	body = post(t, base+"/v1/trace", `{"trace":`+trace.String()+`}`)
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("/v1/trace answered\n%s\nan in-process replay gives\n%s", body, want.Bytes())
+	}
+
+	// Each point of a sweep is the run goodenough.Run makes at its rate.
+	var sweep struct {
+		Points []struct {
+			Rate   float64
+			Result json.RawMessage
+		}
+	}
+	if err := json.Unmarshal(post(t, base+"/v1/sweep", `{"config":{"DurationSec":5},"rates":[100,200]}`), &sweep); err != nil {
+		t.Fatal(err)
+	}
+	if len(sweep.Points) != 2 || sweep.Points[0].Rate != 100 || sweep.Points[1].Rate != 200 {
+		t.Fatalf("sweep over 100 and 200 req/s answered %d points", len(sweep.Points))
+	}
+	for _, p := range sweep.Points {
+		cfg.ArrivalRate = p.Rate
+		res, err := goodenough.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := json.Marshal(res); err != nil || !bytes.Equal(p.Result, want) {
+			t.Fatalf("sweep point at %v req/s is\n%s\ngoodenough.Run gives\n%s (%v)", p.Rate, p.Result, want, err)
+		}
 	}
 
 	// geload exits 0 as long as every request resolves, admitted or

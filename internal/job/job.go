@@ -26,20 +26,6 @@ const (
 	StateFinalized
 )
 
-// String implements fmt.Stringer.
-func (s State) String() string {
-	switch s {
-	case StateWaiting:
-		return "waiting"
-	case StateAssigned:
-		return "assigned"
-	case StateFinalized:
-		return "finalized"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
-
 // Job is a single service request. Fields are exported for the scheduler
 // packages; treat Processed/Target/State as owned by the simulation.
 type Job struct {
@@ -156,12 +142,6 @@ func (j *Job) Done() bool { return j.Processed >= j.Target-1e-9 }
 
 // Expired reports whether the job's deadline has passed at time t.
 func (j *Job) Expired(t float64) bool { return t >= j.Deadline }
-
-// String implements fmt.Stringer for debugging.
-func (j *Job) String() string {
-	return fmt.Sprintf("J%d[r=%.3f d=%.3f p=%.0f tgt=%.0f done=%.0f %s]",
-		j.ID, j.Release, j.Deadline, j.Demand, j.Target, j.Processed, j.State)
-}
 
 // The comparators below are total orders (unique IDs break every tie), so
 // a stable sort and an unstable one agree; SortStableFunc is used because

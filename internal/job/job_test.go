@@ -2,7 +2,6 @@ package job
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -223,27 +222,6 @@ func TestTargetInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStateString(t *testing.T) {
-	if StateWaiting.String() != "waiting" ||
-		StateAssigned.String() != "assigned" ||
-		StateFinalized.String() != "finalized" {
-		t.Fatal("state strings wrong")
-	}
-	if State(42).String() != "state(42)" {
-		t.Fatal("unknown state string wrong")
-	}
-}
-
-func TestStringFormat(t *testing.T) {
-	j := New(3, 0.5, 0.65, 400)
-	s := j.String()
-	for _, want := range []string{"J3", "0.500", "0.650", "400", "waiting"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("String() = %q missing %q", s, want)
-		}
 	}
 }
 

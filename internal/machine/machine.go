@@ -35,14 +35,6 @@ const (
 	ReasonExpired
 )
 
-// String implements fmt.Stringer.
-func (r Reason) String() string {
-	if r == ReasonCompleted {
-		return "completed"
-	}
-	return "expired"
-}
-
 // Entry pairs a job with its planned execution speed in GHz.
 type Entry struct {
 	Job   *job.Job

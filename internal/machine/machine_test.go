@@ -337,12 +337,6 @@ func TestAdvanceZeroWidthWindow(t *testing.T) {
 	}
 }
 
-func TestReasonString(t *testing.T) {
-	if ReasonCompleted.String() != "completed" || ReasonExpired.String() != "expired" {
-		t.Fatal("reason strings wrong")
-	}
-}
-
 func BenchmarkCoreAdvance(b *testing.B) {
 	m := model()
 	for i := 0; i < b.N; i++ {

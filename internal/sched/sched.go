@@ -180,22 +180,6 @@ const (
 	TriggerFault
 )
 
-// String implements fmt.Stringer.
-func (t Trigger) String() string {
-	switch t {
-	case TriggerQuantum:
-		return "quantum"
-	case TriggerIdleCore:
-		return "idle-core"
-	case TriggerCounter:
-		return "counter"
-	case TriggerFault:
-		return "fault"
-	default:
-		return fmt.Sprintf("trigger(%d)", int(t))
-	}
-}
-
 // Context is the view a policy gets at each trigger.
 type Context struct {
 	// Now is the simulation time in seconds.
@@ -324,9 +308,13 @@ type Runner struct {
 	cfg    Config
 	d      Driver
 	policy Policy
-	gen    workload.Source
+	src    workload.Source
 	engine *sim.Engine
 
+	// prod draws src ahead of the loop while Run runs: Run starts it and
+	// closes it on every return path, so a runner built and never run
+	// starts no goroutine.
+	prod      *workload.Producer
 	genDone   bool
 	jobs      int
 	responses []float64 // completed jobs' response times
@@ -455,7 +443,7 @@ func NewRunnerFromSource(cfg Config, policy Policy, src workload.Source) (*Runne
 }
 
 func newRunner(cfg Config, policy Policy, src workload.Source) (*Runner, error) {
-	r := &Runner{cfg: cfg, policy: policy, gen: src}
+	r := &Runner{cfg: cfg, policy: policy, src: src}
 	r.engine = sim.NewEngine(r.handle)
 	if err := r.d.init(&r.cfg, policy, -1, r.engine); err != nil {
 		return nil, err
@@ -463,8 +451,12 @@ func newRunner(cfg Config, policy Policy, src workload.Source) (*Runner, error) 
 	return r, nil
 }
 
-// Run executes the simulation to completion and returns the result.
+// Run executes the simulation to completion and returns the result. It
+// draws the workload stream on a producer goroutine that it stops and waits
+// for before returning.
 func (r *Runner) Run() (Result, error) {
+	r.prod = workload.StartProducer(r.src)
+	defer r.prod.Close()
 	r.policy.Reset()
 	// Prime the pump: first arrival, first quantum tick, and the full
 	// fault schedule. Fault events get priority -1 so a failure at time t
@@ -565,12 +557,14 @@ func (r *Runner) handle(e *sim.Event) error {
 }
 
 // drainFinals records the response times of the jobs completed since the
-// last drain and empties the driver's finalization buffer.
+// last drain, hands every drained job back to the producer, and empties the
+// driver's finalization buffer.
 func (r *Runner) drainFinals() {
 	for _, f := range r.d.Finals() {
 		if f.Completed() {
 			r.responses = append(r.responses, f.Response)
 		}
+		r.prod.Recycle(f.Job)
 	}
 	r.d.ClearFinals()
 }
@@ -700,22 +694,22 @@ func (r *Runner) scheduleNextArrival() error {
 	if r.genDone {
 		return nil
 	}
-	j := r.gen.Next()
-	if j == nil {
+	a, ok := r.prod.Next()
+	if !ok {
 		r.genDone = true
 		return nil
 	}
 	// Arrivals come in release order, the contract of the engine's ordered
 	// lane, so a posted arrival is delivered exactly where a scheduled one
 	// would be, without a trip through the heap.
-	if err := r.engine.Post(j.Release, sim.KindArrival, -1, -1); err != nil {
+	if err := r.engine.Post(a.Release, sim.KindArrival, -1, -1); err != nil {
 		// A malformed source emitted an out-of-order release; surface it
 		// as a diagnosable error instead of crashing the process.
-		return fmt.Errorf("sched: job source emitted job %d out of order: %w", j.ID, err)
+		return fmt.Errorf("sched: job source emitted job %d out of order: %w", a.Job.ID, err)
 	}
 	// At most one arrival event is ever outstanding, so the runner holds
 	// the job itself; the handler picks it up when the event fires.
-	r.nextArrival = j
+	r.nextArrival = a.Job
 	return nil
 }
 

@@ -235,16 +235,6 @@ func TestDiscreteLadderRespected(t *testing.T) {
 	}
 }
 
-func TestTriggerString(t *testing.T) {
-	if TriggerQuantum.String() != "quantum" || TriggerIdleCore.String() != "idle-core" ||
-		TriggerCounter.String() != "counter" {
-		t.Fatal("trigger strings wrong")
-	}
-	if Trigger(9).String() != "trigger(9)" {
-		t.Fatal("unknown trigger string wrong")
-	}
-}
-
 func TestOrderString(t *testing.T) {
 	names := map[Order]string{OrderFCFS: "FCFS", OrderFDFS: "FDFS", OrderLJF: "LJF",
 		OrderSJF: "SJF", Order(9): "order(9)"}

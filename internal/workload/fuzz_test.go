@@ -7,8 +7,8 @@ import (
 )
 
 // FuzzReadTrace hardens the trace parser: arbitrary bytes must either
-// parse into a trace that materializes cleanly or return an error —
-// never panic, and never produce invalid jobs.
+// parse into a trace that replays cleanly or return an error — never
+// panic, and never produce invalid jobs.
 func FuzzReadTrace(f *testing.F) {
 	f.Add(`{"jobs":[{"release":0,"deadline":0.15,"demand":300}]}`)
 	f.Add(`{"jobs":[]}`)
@@ -21,17 +21,16 @@ func FuzzReadTrace(f *testing.F) {
 		if err != nil {
 			return
 		}
-		jobs, err := tr.Materialize()
+		rep, err := NewReplayer(tr)
 		if err != nil {
 			return
 		}
-		for i, j := range jobs {
+		for j := rep.NextInto(nil); j != nil; j = rep.NextInto(nil) {
 			if err := j.Validate(); err != nil {
-				t.Fatalf("materialized invalid job %d: %v", i, err)
+				t.Fatalf("replayed invalid job %d: %v", j.ID, err)
 			}
 		}
-		// A successfully materialized trace must survive a write/read
-		// round trip.
+		// A trace that replays must survive a write/read round trip.
 		var buf bytes.Buffer
 		if err := tr.Write(&buf); err != nil {
 			t.Fatalf("re-serialization failed: %v", err)

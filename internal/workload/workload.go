@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"goodenough/internal/job"
 	"goodenough/internal/rng"
@@ -258,11 +259,12 @@ func (g *Generator) Next() *job.Job {
 	return g.NextInto(nil)
 }
 
-// NextInto is Next with job recycling: when reuse is non-nil its storage is
-// reinitialized in place instead of allocating, so a caller that owns the
-// full job lifecycle (the fleet simulation recycles finalized jobs) keeps
-// the steady-state arrival path allocation-free. The draw sequence is
-// identical to Next — recycling never perturbs determinism.
+// NextInto implements Source: Next with job recycling. When reuse is
+// non-nil its storage is reinitialized in place instead of allocating, so a
+// caller that owns the full job lifecycle (a run's Producer reinitializes
+// the jobs its loop finalized) keeps the steady-state arrival path
+// allocation-free. The draw sequence is identical to Next — recycling never
+// perturbs determinism.
 func (g *Generator) NextInto(reuse *job.Job) *job.Job {
 	if g.done {
 		return nil
@@ -278,22 +280,29 @@ func (g *Generator) NextInto(reuse *job.Job) *job.Job {
 	if shape.RandomWindow {
 		window = g.windows.Uniform(shape.WindowMin, shape.WindowMax)
 	}
-	j := reuse
-	if j == nil {
-		j = job.New(g.nextID, g.clock, g.clock+window, demand)
-	} else {
-		*j = job.Job{
-			ID:       g.nextID,
-			Release:  g.clock,
-			Deadline: g.clock + window,
-			Demand:   demand,
-			Target:   demand,
-			Core:     -1,
-			State:    job.StateWaiting,
-		}
-	}
+	j := newJob(reuse, g.nextID, g.clock, g.clock+window, demand)
 	g.nextID++
 	return j
+}
+
+// newJob returns the job job.New builds, in reuse's storage when reuse is
+// non-nil.
+func newJob(reuse *job.Job, id int, release, deadline, demand float64) *job.Job {
+	if reuse == nil {
+		return job.New(id, release, deadline, demand)
+	}
+	*reuse = *job.New(id, release, deadline, demand) // inlined: no allocation
+	return reuse
+}
+
+// Expected implements Source: the mean job count of the arrival window,
+// at the faster phase's rate for a bursty stream.
+func (g *Generator) Expected() int {
+	rate := g.spec.ArrivalRate
+	if b := g.spec.Burst; b != nil {
+		rate = max(b.HighRate, b.LowRate)
+	}
+	return int(min(math.Ceil(rate*g.spec.Duration), math.MaxInt32))
 }
 
 // advanceClock draws the next arrival instant: a plain exponential gap for
@@ -357,10 +366,17 @@ func (g *Generator) All() []*job.Job {
 	}
 }
 
-// Source yields jobs in non-decreasing release order; nil means exhausted.
-// Generator produces synthetic streams; Replayer replays recorded traces.
+// Source yields jobs in non-decreasing release order, drawn by a run's
+// Producer. Generator produces synthetic streams; Replayer replays recorded
+// traces.
 type Source interface {
-	Next() *job.Job
+	// NextInto returns the next job, or nil once the stream is exhausted.
+	// A non-nil reuse is reinitialized in place and returned instead of a
+	// fresh job; the stream does not depend on whether it is given.
+	NextInto(reuse *job.Job) *job.Job
+	// Expected is about how many jobs the stream holds; it only sizes the
+	// producer's chunks.
+	Expected() int
 }
 
 // Trace is a serializable recorded workload, so experiments can be re-run
@@ -390,22 +406,6 @@ func Record(jobs []*job.Job, spec *Spec, comment string) *Trace {
 	return t
 }
 
-// Jobs materializes the trace back into job objects with fresh IDs.
-func (t *Trace) Materialize() ([]*job.Job, error) {
-	jobs := make([]*job.Job, len(t.Jobs))
-	for i, tj := range t.Jobs {
-		j := job.New(i, tj.Release, tj.Deadline, tj.Demand)
-		if err := j.Validate(); err != nil {
-			return nil, fmt.Errorf("workload: trace entry %d: %w", i, err)
-		}
-		if i > 0 && tj.Release < t.Jobs[i-1].Release {
-			return nil, fmt.Errorf("workload: trace entry %d out of arrival order", i)
-		}
-		jobs[i] = j
-	}
-	return jobs, nil
-}
-
 // Write serializes the trace as JSON.
 func (t *Trace) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -429,29 +429,39 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	return &t, nil
 }
 
-// Replayer replays a trace as a Source, minting fresh job objects so the
-// same trace can drive many runs.
+// Replayer replays a trace as a Source, minting fresh job objects (or
+// reinitializing the ones handed back) so the same trace can drive many
+// runs.
 type Replayer struct {
 	trace *Trace
 	pos   int
 }
 
-// NewReplayer validates the trace order eagerly and returns a Source over
-// it.
+// NewReplayer validates the trace eagerly, entry by entry in place, and
+// returns a Source over it.
 func NewReplayer(t *Trace) (*Replayer, error) {
-	if _, err := t.Materialize(); err != nil {
-		return nil, err
+	for i, tj := range t.Jobs {
+		j := job.Job{ID: i, Release: tj.Release, Deadline: tj.Deadline, Demand: tj.Demand}
+		if err := j.Validate(); err != nil {
+			return nil, fmt.Errorf("workload: trace entry %d: %w", i, err)
+		}
+		if i > 0 && tj.Release < t.Jobs[i-1].Release {
+			return nil, fmt.Errorf("workload: trace entry %d out of arrival order", i)
+		}
 	}
 	return &Replayer{trace: t}, nil
 }
 
-// Next implements Source.
-func (r *Replayer) Next() *job.Job {
+// NextInto implements Source.
+func (r *Replayer) NextInto(reuse *job.Job) *job.Job {
 	if r.pos >= len(r.trace.Jobs) {
 		return nil
 	}
 	tj := r.trace.Jobs[r.pos]
-	j := job.New(r.pos, tj.Release, tj.Deadline, tj.Demand)
+	j := newJob(reuse, r.pos, tj.Release, tj.Deadline, tj.Demand)
 	r.pos++
 	return j
 }
+
+// Expected implements Source: the trace's job count.
+func (r *Replayer) Expected() int { return len(r.trace.Jobs) }

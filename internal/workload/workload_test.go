@@ -211,33 +211,50 @@ func TestTraceRoundTrip(t *testing.T) {
 	if back.Spec == nil || back.Spec.ArrivalRate != 150 {
 		t.Fatal("spec lost in round trip")
 	}
-	restored, err := back.Materialize()
-	if err != nil {
-		t.Fatal(err)
+	if len(back.Jobs) != len(jobs) {
+		t.Fatalf("job count changed: %d vs %d", len(back.Jobs), len(jobs))
 	}
-	if len(restored) != len(jobs) {
-		t.Fatalf("job count changed: %d vs %d", len(restored), len(jobs))
-	}
-	for i := range jobs {
-		if restored[i].Demand != jobs[i].Demand ||
-			restored[i].Release != jobs[i].Release ||
-			restored[i].Deadline != jobs[i].Deadline {
+	for i, tj := range back.Jobs {
+		if tj.Demand != jobs[i].Demand ||
+			tj.Release != jobs[i].Release ||
+			tj.Deadline != jobs[i].Deadline {
 			t.Fatalf("job %d changed in round trip", i)
 		}
 	}
 }
 
-func TestMaterializeRejectsCorruptTraces(t *testing.T) {
-	bad := &Trace{Jobs: []TraceJob{{Release: 1, Deadline: 0.5, Demand: 100}}}
-	if _, err := bad.Materialize(); err == nil {
-		t.Error("deadline-before-release trace accepted")
+func TestNewReplayerRejectsCorruptTraces(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		jobs []TraceJob
+		want string
+	}{
+		{"deadline before release", []TraceJob{{Release: 1, Deadline: 0.5, Demand: 100}},
+			"workload: trace entry 0: job 0: deadline 0.5 before release 1"},
+		{"negative demand", []TraceJob{{Release: 0, Deadline: 1, Demand: 100}, {Release: 0, Deadline: 1, Demand: -2}},
+			"workload: trace entry 1: job 1: negative demand -2"},
+		{"out of order", []TraceJob{{Release: 2, Deadline: 3, Demand: 100}, {Release: 1, Deadline: 2, Demand: 100}},
+			"workload: trace entry 1 out of arrival order"},
+	} {
+		if _, err := NewReplayer(&Trace{Jobs: c.jobs}); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
 	}
-	outOfOrder := &Trace{Jobs: []TraceJob{
-		{Release: 2, Deadline: 3, Demand: 100},
-		{Release: 1, Deadline: 2, Demand: 100},
-	}}
-	if _, err := outOfOrder.Materialize(); err == nil {
-		t.Error("out-of-order trace accepted")
+}
+
+// TestNewReplayerAllocatesNoJobs pins validation to checking the entries in
+// place: building a replayer over 10,000 jobs allocates the replayer alone.
+func TestNewReplayerAllocatesNoJobs(t *testing.T) {
+	tr := &Trace{Jobs: make([]TraceJob, 10000)}
+	for i := range tr.Jobs {
+		tr.Jobs[i] = TraceJob{Release: float64(i), Deadline: float64(i) + 0.15, Demand: 300}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := NewReplayer(tr); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Fatalf("NewReplayer over a 10,000-job trace made %v allocations, want at most 1", allocs)
 	}
 }
 
@@ -285,7 +302,7 @@ func TestReplayerRoundTrip(t *testing.T) {
 	}
 	count := 0
 	for {
-		j := rep.Next()
+		j := rep.NextInto(nil)
 		if j == nil {
 			break
 		}
@@ -301,11 +318,11 @@ func TestReplayerRoundTrip(t *testing.T) {
 		t.Fatalf("replayed %d of %d jobs", count, len(jobs))
 	}
 	// Exhausted replayer stays exhausted; rewound, it replays again.
-	if rep.Next() != nil {
+	if rep.NextInto(nil) != nil {
 		t.Fatal("exhausted replayer yielded a job")
 	}
 	rep.pos = 0
-	if rep.Next() == nil {
+	if rep.NextInto(nil) == nil {
 		t.Fatal("reset replayer yielded nothing")
 	}
 }
@@ -316,10 +333,10 @@ func TestReplayerMintsFreshJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := rep.Next()
+	a := rep.NextInto(nil)
 	a.Advance(50) // mutate the first copy
 	rep.pos = 0
-	b := rep.Next()
+	b := rep.NextInto(nil)
 	if b.Processed != 0 {
 		t.Fatal("replayer shared job state across runs")
 	}
